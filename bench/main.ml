@@ -998,29 +998,7 @@ let cost_bench () =
               { W.Hospital.default with W.Hospital.total = 20_000 })) ]
   in
   let analyze registry query =
-    let p = Parser.parse_program query in
-    let no_ifp = Fixq.count_ifps p = 0 in
-    let compiled =
-      if no_ifp then None
-      else
-        Some
-          (match Fixq.plan_of_first_ifp ~registry p with
-          | Some _ -> true
-          | None -> false
-          | exception _ -> false)
-    in
-    let sql =
-      if no_ifp then None
-      else try Fixq.sql_of_first_ifp ~registry p with _ -> None
-    in
-    let (syntactic, algebraic) =
-      match try Fixq.distributivity_verdicts ~registry p with _ -> None with
-      | Some v -> v
-      | None -> (false, None)
-    in
-    E.analyze ~registry ~compiled
-      ~sql_renderable:(Option.map Result.is_ok sql)
-      ~algebra_delta:(algebraic = Some true) ~interp_delta:syntactic p
+    E.of_program ~registry (Parser.parse_program query)
   in
   printf "%-18s | %-7s | %9s | %9s | %9s | %7s | %6s | %5s\n" "Family"
     "chosen" "interp ms" "algeb. ms" "sql ms" "auto ms" "rounds" "bound";

@@ -12,6 +12,7 @@
 module Xdm = Fixq_xdm
 module Lang = Fixq_lang
 module W = Fixq_workloads
+module Estimate = Fixq_cost.Estimate
 open Cmdliner
 
 let read_file path =
@@ -183,34 +184,6 @@ let to_engine engine mode =
   | `Algebra -> Fixq.Algebra mode
   | `Sql -> Fixq.Sql mode
 
-(* The full static cost report for an already-parsed program: both
-   distributivity verdicts plus the compiled/renderable probes shape
-   the per-engine estimates exactly as [Prepared.prepare] does. *)
-let cost_report ?spans registry p =
-  let module E = Fixq_cost.Estimate in
-  let no_ifp = Fixq.count_ifps p = 0 in
-  let compiled =
-    if no_ifp then None
-    else
-      Some
-        (match Fixq.plan_of_first_ifp ~registry p with
-        | Some _ -> true
-        | None -> false
-        | exception _ -> false)
-  in
-  let sql =
-    if no_ifp then None
-    else try Fixq.sql_of_first_ifp ~registry p with _ -> None
-  in
-  let (syntactic, algebraic) =
-    match try Fixq.distributivity_verdicts ~registry p with _ -> None with
-    | Some v -> v
-    | None -> (false, None)
-  in
-  E.analyze ~registry ?spans ~compiled
-    ~sql_renderable:(Option.map Result.is_ok sql)
-    ~algebra_delta:(algebraic = Some true) ~interp_delta:syntactic p
-
 (* [--engine auto]: resolve to a fixed engine before execution, so an
    auto run is byte-identical to the chosen engine spelled out. *)
 let resolve_engine registry src engine =
@@ -220,7 +193,7 @@ let resolve_engine registry src engine =
     match Lang.Parser.parse_program src with
     | exception _ -> `Interp (* let the evaluator report the error *)
     | p -> (
-      match (cost_report registry p).Fixq_cost.Estimate.chosen with
+      match (Estimate.of_program ~registry p).Estimate.chosen with
       | "algebra" -> `Algebra
       | "sql" -> `Sql
       | _ -> `Interp))
@@ -326,7 +299,11 @@ let check_cmd =
         diagnostics;
       if Lang.Static.errors diagnostics <> [] then 1
       else
-      match Fixq.distributivity_verdicts ~registry p with
+      let plan =
+        if Fixq.first_ifp p = None then None
+        else Fixq.plan_of_first_ifp ~registry p
+      in
+      match Fixq.distributivity_verdicts ~registry ~plan p with
       | None ->
         print_endline "the query contains no inflationary fixed point";
         0
@@ -339,7 +316,7 @@ let check_cmd =
           | Some false -> "not distributive"
           | None -> "body outside the compilable subset");
         Printf.printf "SQL:1999 rendering: %s\n"
-          (match Fixq.sql_of_first_ifp ~registry p with
+          (match Option.map Fixq.sql_of_plan plan with
           | Some (Ok _) -> "renderable — WITH RECURSIVE applies"
           | Some (Error reason) -> "not renderable (" ^ reason ^ ")"
           | None -> "body outside the compilable subset");
@@ -500,10 +477,9 @@ let lint_cmd =
           | _ -> []
         in
         (* the cost analyzer's FQ050–FQ054 findings lint alongside the
-           structural ones *)
-        let cost =
-          (cost_report ~spans registry p).Fixq_cost.Estimate.diagnostics
-        in
+           structural ones; they never read the probe verdicts, so the
+           plan captured above is not captured again *)
+        let cost = (Estimate.analyze ~registry ~spans p).Estimate.diagnostics in
         List.stable_sort Diag.compare
           (analysis.Analyze.diagnostics @ push_block @ cost)
       in
@@ -711,7 +687,7 @@ let explain_cmd =
       | None ->
         let registry = Xdm.Doc_registry.create () in
         load_docs registry docs;
-        let report = cost_report ~spans registry p in
+        let report = Estimate.of_program ~registry ~spans p in
         print_string (Fixq_cost.Estimate.to_text report);
         0)
   in

@@ -431,14 +431,13 @@ let plan_of_first_ifp ?(registry = Xdm.Doc_registry.default)
   (try ignore (Eval.run_program ev p) with _ -> ());
   !captured
 
-(* The SQL:1999 rendering of the first IFP's (optimized) body — what
-   the Sql engine would run at that site. [None] when the query has no
-   compilable IFP at all. *)
+(* The SQL:1999 rendering of a captured IFP body (optimized first) —
+   what the Sql engine would run at that site. *)
+let sql_of_plan (fix_id, plan) =
+  Render_sql.render ~fix_id (Optimize.optimize plan)
+
 let sql_of_first_ifp ?registry ?max_iterations p =
-  match plan_of_first_ifp ?registry ?max_iterations p with
-  | None -> None
-  | Some (fix_id, plan) ->
-    Some (Render_sql.render ~fix_id (Optimize.optimize plan))
+  Option.map sql_of_plan (plan_of_first_ifp ?registry ?max_iterations p)
 
 (* One canonical child enumeration for whole-program expression walks
    (first-IFP lookup, IFP counting for the prepared-query layer, …). *)
@@ -673,7 +672,7 @@ let program_functions (p : Lang.Ast.program) =
     p.Lang.Ast.functions;
   functions
 
-let distributivity_verdicts ?registry ?(stratified = false) p =
+let distributivity_verdicts ?registry ?(stratified = false) ?plan p =
   match first_ifp p with
   | None -> None
   | Some (var, body) ->
@@ -681,10 +680,15 @@ let distributivity_verdicts ?registry ?(stratified = false) p =
     let syntactic =
       Lang.Distributivity.check ~functions ~stratified var body
     in
+    let plan =
+      match plan with
+      | Some captured -> captured
+      | None -> plan_of_first_ifp ?registry p
+    in
     let algebraic =
-      match plan_of_first_ifp ?registry p with
-      | None -> None
-      | Some (fix_id, plan) ->
-        Some (Push.check ~stratified ~fix_id plan).Push.distributive
+      Option.map
+        (fun (fix_id, plan) ->
+          (Push.check ~stratified ~fix_id plan).Push.distributive)
+        plan
     in
     Some (syntactic, algebraic)

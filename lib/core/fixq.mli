@@ -150,10 +150,13 @@ val partition_first_seed :
 (** Both distributivity verdicts for the body of the {e first} IFP in
     the program: [(syntactic, algebraic)]. The algebraic verdict is
     [None] when the body is outside the compilable subset.
-    [stratified] enables the Section-6 refinement in both checks. *)
+    [stratified] enables the Section-6 refinement in both checks.
+    [plan] is an already captured {!plan_of_first_ifp} result; without
+    it the plan is captured here. *)
 val distributivity_verdicts :
   ?registry:Xdm.Doc_registry.t ->
   ?stratified:bool ->
+  ?plan:(int * Algebra_ir.Plan.t) option ->
   Lang.Ast.program ->
   (bool * bool option) option
 
@@ -168,10 +171,18 @@ val plan_of_first_ifp :
   Lang.Ast.program ->
   (int * Algebra_ir.Plan.t) option
 
-(** The SQL:1999 rendering of the first IFP's optimized body — the
+(** [sql_of_plan (fix_id, plan)] — the SQL:1999 rendering of an
+    already captured {!plan_of_first_ifp} result, optimized first: the
     [WITH RECURSIVE] query the {!Sql} engine would run at that site, or
-    the reason there is none. [None] when no IFP body compiles at
-    all. *)
+    the reason there is none. Rendering a captured plan instead of
+    calling {!sql_of_first_ifp} saves a second evaluation of the
+    program prefix. *)
+val sql_of_plan :
+  int * Algebra_ir.Plan.t ->
+  (Algebra_ir.Render_sql.rendered, string) result
+
+(** [sql_of_plan] of the first IFP's captured plan. [None] when no IFP
+    body compiles at all. *)
 val sql_of_first_ifp :
   ?registry:Xdm.Doc_registry.t ->
   ?max_iterations:int ->

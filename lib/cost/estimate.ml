@@ -116,6 +116,8 @@ type t = {
   choice_reason : string;
   diagnostics : Diag.t list;
   docs : (string * bool) list;
+  has_ifp : bool;
+  mat_nodes : float;
 }
 
 type env = {
@@ -1073,8 +1075,17 @@ let choose engines =
             engines))
       b.eng_name )
 
-let analyze ?registry ?spans ?(compiled = None) ?(sql_renderable = None)
-    ?(algebra_delta = false) ?(interp_delta = false) (p : Ast.program) : t =
+let with_verdicts ?(compiled = None) ?(sql_renderable = None)
+    ?(algebra_delta = false) ?(interp_delta = false) (t : t) =
+  let engines =
+    engine_estimates ~work:t.work ~mat_nodes:t.mat_nodes ~has_ifp:t.has_ifp
+      ~compiled ~sql_renderable ~algebra_delta ~interp_delta
+  in
+  let chosen, choice_reason = choose engines in
+  { t with engines; chosen; choice_reason }
+
+let analyze ?registry ?spans ?compiled ?sql_renderable ?algebra_delta
+    ?interp_delta (p : Ast.program) : t =
   let env =
     { registry; spans; syns = Hashtbl.create 8; id_attrs = Hashtbl.create 8;
       funcs = Hashtbl.create 8; rows = []; diags = []; work = 0.0; docs = [];
@@ -1099,11 +1110,6 @@ let analyze ?registry ?spans ?(compiled = None) ?(sql_renderable = None)
       0.0 env.docs
   in
   let work = max 1.0 env.work in
-  let engines =
-    engine_estimates ~work ~mat_nodes ~has_ifp ~compiled ~sql_renderable
-      ~algebra_delta ~interp_delta
-  in
-  let chosen, choice_reason = choose engines in
   let rounds_bound, bound_reason =
     match env.first_bound with
     | Some (b, r) -> (b, r)
@@ -1116,10 +1122,31 @@ let analyze ?registry ?spans ?(compiled = None) ?(sql_renderable = None)
         if c <> 0 then c else compare a b)
       (List.rev env.diags)
   in
-  { rows = List.filter_map (fun r -> !r) (List.rev env.rows);
-    result_card = result.card;
-    rounds_bound; bound_reason; work; engines; chosen; choice_reason;
-    diagnostics; docs = env.docs }
+  with_verdicts ?compiled ?sql_renderable ?algebra_delta ?interp_delta
+    { rows = List.filter_map (fun r -> !r) (List.rev env.rows);
+      result_card = result.card;
+      rounds_bound; bound_reason; work; engines = []; chosen = "";
+      choice_reason = ""; diagnostics; docs = env.docs; has_ifp; mat_nodes }
+
+(* The probe wiring shared by the CLI, the bench and the tests: one plan
+   capture feeds the compiled probe, the ∪ push-up verdict and the SQL
+   rendering. *)
+let of_program ?registry ?spans p =
+  if Fixq.count_ifps p = 0 then analyze ?registry ?spans p
+  else
+    let plan = try Fixq.plan_of_first_ifp ?registry p with _ -> None in
+    let sql =
+      Option.bind plan (fun captured ->
+          try Some (Fixq.sql_of_plan captured) with _ -> None)
+    in
+    let (syntactic, algebraic) =
+      match try Fixq.distributivity_verdicts ~plan p with _ -> None with
+      | Some v -> v
+      | None -> (false, None)
+    in
+    analyze ?registry ?spans ~compiled:(Some (plan <> None))
+      ~sql_renderable:(Option.map Result.is_ok sql)
+      ~algebra_delta:(algebraic = Some true) ~interp_delta:syntactic p
 
 (* ------------------------------------------------------------------ *)
 (* Human rendering (fixq explain, the explain protocol op)             *)

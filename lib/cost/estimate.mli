@@ -66,6 +66,9 @@ type t = {
           uncertifiable bound *)
   docs : (string * bool) list;
       (** every [doc(…)] URI → whether a synopsis was available *)
+  has_ifp : bool;  (** the program has a fixed point *)
+  mat_nodes : float;
+      (** document nodes the Sql engine would materialize *)
 }
 
 (** [analyze p] — run the abstract interpreter over [p]'s main
@@ -83,6 +86,30 @@ val analyze :
   ?sql_renderable:bool option ->
   ?algebra_delta:bool ->
   ?interp_delta:bool ->
+  Lang.Ast.program ->
+  t
+
+(** [with_verdicts t] — [t] with the per-engine costs and the choice
+    re-derived from other probe verdicts (meaning and defaults as in
+    {!analyze}). The abstract interpretation never reads the verdicts,
+    so [with_verdicts ~compiled … (analyze p)] equals
+    [analyze ~compiled … p]: a caller can run the walk before it has
+    compiled anything. *)
+val with_verdicts :
+  ?compiled:bool option ->
+  ?sql_renderable:bool option ->
+  ?algebra_delta:bool ->
+  ?interp_delta:bool ->
+  t ->
+  t
+
+(** [of_program p] — {!analyze} with the probes wired from one capture
+    of the first IFP's plan ({!Fixq.plan_of_first_ifp}): compiled or
+    not, SQL-renderable or not, and both distributivity verdicts. A
+    probe that raises counts as a negative verdict. *)
+val of_program :
+  ?registry:Xdm.Doc_registry.t ->
+  ?spans:Lang.Parser.Spans.t ->
   Lang.Ast.program ->
   t
 

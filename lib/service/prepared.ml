@@ -4,6 +4,35 @@ module Analyze = Fixq_analysis.Analyze
 module Diag = Fixq_analysis.Diag
 module Estimate = Fixq_cost.Estimate
 
+(* Compute once, publish, hand every later reader the published value.
+   The mutex makes concurrent first forcings wait for one computation
+   instead of racing (a shared [Lazy.t] raises [Undefined] when two
+   threads force it); the cell stores no closure, so it keeps nothing
+   alive but its value. *)
+type 'a memo = { cell : 'a option Atomic.t; lock : Mutex.t }
+
+let memo () = { cell = Atomic.make None; lock = Mutex.create () }
+
+let force m compute =
+  match Atomic.get m.cell with
+  | Some v -> v
+  | None ->
+    Mutex.protect m.lock (fun () ->
+        match Atomic.get m.cell with
+        | Some v -> v
+        | None ->
+          let v = compute () in
+          Atomic.set m.cell (Some v);
+          v)
+
+type compiled = {
+  plan : (int * Fixq_algebra.Plan.t) option;
+  push : Push.outcome option;
+  algebraic : bool option;
+  sql : (Fixq_algebra.Render_sql.rendered, string) result option;
+  algebra_mode : Fixq.mode;
+}
+
 type t = {
   source : string;
   hash : string;
@@ -11,18 +40,16 @@ type t = {
   spans : Lang.Parser.Spans.t;
   warnings : string list;
   analysis : Analyze.t;
-  push : Push.outcome option;
   ifp_count : int;
   syntactic : bool;
-  algebraic : bool option;
-  plan : (int * Fixq_algebra.Plan.t) option;
-  sql : (Fixq_algebra.Render_sql.rendered, string) result option;
-  cost : Estimate.t;
   interp_mode : Fixq.mode;
-  algebra_mode : Fixq.mode;
   stratified : bool;
   generation : int;
   prepare_ms : float;
+  store : Store.t;
+  max_iterations : int;
+  compiled_memo : compiled memo;
+  estimate_memo : Estimate.t memo;
 }
 
 exception Rejected of { message : string; diagnostics : Diag.t list }
@@ -33,9 +60,13 @@ let hash_source src = Digest.to_hex (Digest.string src)
 
 let format_diagnostic d = Format.asprintf "%a" Lang.Static.pp_diagnostic d
 
+let captures = Atomic.make 0
+let estimates = Atomic.make 0
+let plan_captures () = Atomic.get captures
+let cost_estimates () = Atomic.get estimates
+
 let prepare ~store ~stratified ~max_iterations source =
   let t0 = Unix.gettimeofday () in
-  let registry = Store.registry store in
   let generation = Store.generation store in
   let program, spans =
     match Lang.Parser.parse_program_spans source with
@@ -63,36 +94,38 @@ let prepare ~store ~stratified ~max_iterations source =
     | [] -> false
     | r :: _ -> r.Analyze.syntactic
   in
-  let plan =
-    if ifp_count = 0 then None
-    else Fixq.plan_of_first_ifp ~registry ~max_iterations program
-  in
-  let push =
-    Option.map
-      (fun (fix_id, p) -> Push.check ~stratified ~fix_id p)
-      plan
-  in
-  let algebraic = Option.map (fun o -> o.Push.distributive) push in
-  let sql =
-    if ifp_count = 0 then None
-    else Fixq.sql_of_first_ifp ~registry ~max_iterations program
-  in
-  let cost =
-    Estimate.analyze ~registry ~spans
-      ~compiled:(if ifp_count = 0 then None else Some (plan <> None))
-      ~sql_renderable:(Option.map Result.is_ok sql)
-      ~algebra_delta:(algebraic = Some true)
-      ~interp_delta:syntactic program
-  in
   let interp_mode =
     if ifp_count = 0 then Fixq.Naive
     else if ifp_count > 1 then Fixq.Auto
     else if syntactic then Fixq.Delta
     else Fixq.Naive
   in
+  { source; hash = hash_source source; program; spans; warnings; analysis;
+    ifp_count; syntactic; interp_mode; stratified; generation;
+    prepare_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
+    store; max_iterations; compiled_memo = memo (); estimate_memo = memo () }
+
+(* One plan capture (an evaluation of the program prefix up to the first
+   IFP site); the ∪ push-up verdict and the SQL rendering both read that
+   captured plan. *)
+let compile t =
+  let plan =
+    if t.ifp_count = 0 then None
+    else begin
+      Atomic.incr captures;
+      Fixq.plan_of_first_ifp ~registry:(Store.registry t.store)
+        ~max_iterations:t.max_iterations t.program
+    end
+  in
+  let push =
+    Option.map
+      (fun (fix_id, p) -> Push.check ~stratified:t.stratified ~fix_id p)
+      plan
+  in
+  let algebraic = Option.map (fun o -> o.Push.distributive) push in
   let algebra_mode =
-    if ifp_count = 0 then Fixq.Naive
-    else if ifp_count > 1 then Fixq.Auto
+    if t.ifp_count = 0 then Fixq.Naive
+    else if t.ifp_count > 1 then Fixq.Auto
     else
       match algebraic with
       | Some true -> Fixq.Delta
@@ -102,35 +135,61 @@ let prepare ~store ~stratified ~max_iterations source =
            the interpreter, whose Auto strategy re-checks syntactically *)
         Fixq.Auto
   in
-  { source; hash = hash_source source; program; spans; warnings; analysis;
-    push; ifp_count; syntactic; algebraic; plan; sql; cost; interp_mode;
-    algebra_mode; stratified; generation;
-    prepare_ms = (Unix.gettimeofday () -. t0) *. 1000.0 }
+  { plan; push; algebraic; sql = Option.map Fixq.sql_of_plan plan;
+    algebra_mode }
+
+let compiled t = force t.compiled_memo (fun () -> compile t)
+
+let estimate t =
+  force t.estimate_memo (fun () ->
+      Atomic.incr estimates;
+      Estimate.analyze ~registry:(Store.registry t.store) ~spans:t.spans
+        ~interp_delta:t.syntactic t.program)
+
+let cost t =
+  let c = compiled t in
+  Estimate.with_verdicts
+    ~compiled:(if t.ifp_count = 0 then None else Some (c.plan <> None))
+    ~sql_renderable:(Option.map Result.is_ok c.sql)
+    ~algebra_delta:(c.algebraic = Some true) ~interp_delta:t.syntactic
+    (estimate t)
 
 (* The parse, the static check and the distributivity verdicts depend
    only on the query text, but the cost estimate reads the document
-   synopses — so a cached entry served after a load-doc/patch-doc must
-   re-run just the abstract interpreter, or admission and engine
-   choice would act on the document as it was at prepare time. *)
+   synopses — so an entry served after a load-doc/patch-doc starts a
+   fresh estimate memo, or admission and engine choice would act on the
+   document as it was when the estimate ran. The compiled memo is shared
+   with the superseded record: it is text-level too. *)
 let refresh ~store t =
   let generation = Store.generation store in
   if t.generation = generation then t
-  else
-    let cost =
-      Estimate.analyze ~registry:(Store.registry store) ~spans:t.spans
-        ~compiled:(if t.ifp_count = 0 then None else Some (t.plan <> None))
-        ~sql_renderable:(Option.map Result.is_ok t.sql)
-        ~algebra_delta:(t.algebraic = Some true)
-        ~interp_delta:t.syntactic t.program
-    in
-    { t with cost; generation }
+  else { t with generation; estimate_memo = memo () }
+
+let engine_name = function
+  | `Interp -> "interp"
+  | `Algebra -> "algebra"
+  | `Sql -> "sql"
+
+(* The interpreter's row is [work] discounted by the syntactic verdict,
+   both known without a plan — so interp admission never compiles. *)
+let predicted_cost t engine =
+  let c = if engine = `Interp then estimate t else cost t in
+  match
+    List.find_opt
+      (fun e -> e.Estimate.eng_name = engine_name engine)
+      c.Estimate.engines
+  with
+  | Some e -> e.Estimate.eng_cost
+  | None -> c.Estimate.work
+
+let rounds_bound t = (estimate t).Estimate.rounds_bound
 
 (* Diagnostics including the FQ031 push-block mapping, which needs the
    plan verdict and so cannot be part of [Analyze.analyze], plus the
    cost analyzer's FQ050–FQ054 findings. *)
 let diagnostics t =
   let push_blocks =
-    match (t.push, t.analysis.Analyze.ifps) with
+    match ((compiled t).push, t.analysis.Analyze.ifps) with
     | Some o, r :: _ -> (
       match Analyze.push_block_diag ~spans:t.spans r o with
       | Some d -> [ d ]
@@ -139,7 +198,7 @@ let diagnostics t =
   in
   List.stable_sort Diag.compare
     (t.analysis.Analyze.diagnostics @ push_blocks
-    @ t.cost.Estimate.diagnostics)
+    @ (estimate t).Estimate.diagnostics)
 
 let divergence t =
   match t.analysis.Analyze.ifps with
@@ -152,7 +211,7 @@ let semiring t =
   | r :: _ -> r.Analyze.semiring
 
 let chosen_engine t =
-  match t.cost.Estimate.chosen with
+  match (cost t).Estimate.chosen with
   | "algebra" -> `Algebra
   | "sql" -> `Sql
   | _ -> `Interp
@@ -161,6 +220,5 @@ let chosen_engine t =
    before rendering, so it inherits the algebraic mode pin. *)
 let rec mode_for t = function
   | `Interp -> t.interp_mode
-  | `Algebra -> t.algebra_mode
-  | `Sql -> t.algebra_mode
+  | `Algebra | `Sql -> (compiled t).algebra_mode
   | `Auto -> mode_for t (chosen_engine t)

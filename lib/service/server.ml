@@ -117,7 +117,7 @@ let get_prepared t ~stratified ~max_iterations query =
   match Lru.find t.prepared key with
   | Some p ->
     (* still a hit — only the synopsis-dependent cost estimate is
-       recomputed when documents changed since prepare time *)
+       dropped (to be re-run on next use) when documents changed *)
     let p' = Prepared.refresh ~store:t.store p in
     if p' != p then Lru.put t.prepared key p';
     (p', "hit")
@@ -298,23 +298,18 @@ let handle_run t ~id
     | `Algebra -> "algebra"
     | `Sql -> "sql"
   in
-  let cost = prepared.Prepared.cost in
-  let predicted_cost =
-    match
-      List.find_opt
-        (fun e -> e.Fixq_cost.Estimate.eng_name = engine_str)
-        cost.Fixq_cost.Estimate.engines
-    with
-    | Some e -> e.Fixq_cost.Estimate.eng_cost
-    | None -> cost.Fixq_cost.Estimate.work
-  in
+  (* Without an envelope nothing reads the cost model, so a plain run
+     never pays for the estimate (nor, off the interpreter, for it
+     forcing the compiled plan). *)
   let over_envelope =
     match (Governor.config t.governor).Governor.max_cost with
-    | Some envelope when predicted_cost > envelope -> Some envelope
-    | _ -> None
+    | Some envelope ->
+      let predicted = Prepared.predicted_cost prepared engine in
+      if predicted > envelope then Some (envelope, predicted) else None
+    | None -> None
   in
   match over_envelope with
-  | Some envelope when unbudgeted ->
+  | Some (envelope, predicted_cost) when unbudgeted ->
     (* Admission control: predicted cost exceeds the governor envelope
        and the caller brought no budget of their own. *)
     bump_analysis t "refused-cost";
@@ -325,7 +320,7 @@ let handle_run t ~id
           ("estimated_cost", Json.Num (Float.round predicted_cost));
           ("max_cost", Json.Num envelope);
           ("rounds_bound",
-           (match cost.Fixq_cost.Estimate.rounds_bound with
+           (match Prepared.rounds_bound prepared with
            | Some b -> Json.of_int b
            | None -> Json.Null)) ]
       (Printf.sprintf
@@ -337,11 +332,16 @@ let handle_run t ~id
      the certified round bound — the run cannot legitimately need more
      rounds, so this only cuts runaway headroom. *)
   let down_budgeted =
-    match (over_envelope, cost.Fixq_cost.Estimate.rounds_bound) with
-    | Some _, Some bound when bound < max_iterations -> Some bound
-    | _ -> None
+    match over_envelope with
+    | Some (_, predicted_cost) -> (
+      match Prepared.rounds_bound prepared with
+      | Some bound when bound < max_iterations -> Some (bound, predicted_cost)
+      | _ -> None)
+    | None -> None
   in
-  let max_iterations = Option.value ~default:max_iterations down_budgeted in
+  let max_iterations =
+    match down_budgeted with Some (bound, _) -> bound | None -> max_iterations
+  in
   let run_mode =
     match mode with
     | `Pinned ->
@@ -372,7 +372,7 @@ let handle_run t ~id
       (if auto then [ ("chosen_by", Json.Str "cost") ] else [])
       @
       match down_budgeted with
-      | Some bound ->
+      | Some (bound, predicted_cost) ->
         [ ("down_budgeted", Json.of_int bound);
           ("estimated_cost", Json.Num (Float.round predicted_cost)) ]
       | None -> []
@@ -456,20 +456,23 @@ let handle_run t ~id
     respond ~result_status:"miss" ~extra entry
 
 (* prepare: warm the prepared-query LRU (parse + static check + both
-   verdicts + pinned modes + compiled plan) without executing — the
-   cluster coordinator uses this to warm every replica before traffic. *)
+   verdicts + pinned modes + compiled plan + cost estimate) without
+   executing — the cluster coordinator uses this to warm every replica
+   before traffic. *)
 let handle_prepare t ~id query stratified =
   let stratified = Option.value ~default:t.config.stratified stratified in
   let (p, prepared_status) =
     get_prepared t ~stratified ~max_iterations:t.config.max_iterations query
   in
+  let c = Prepared.compiled p in
+  ignore (Prepared.cost p);
   Protocol.ok_response ~id
     [ ("prepared_cache", Json.Str prepared_status);
       ("hash", Json.Str p.Prepared.hash);
       ("ifp_count", Json.of_int p.Prepared.ifp_count);
       ("interp_mode", Json.Str (mode_string p.Prepared.interp_mode));
-      ("algebra_mode", Json.Str (mode_string p.Prepared.algebra_mode));
-      ("has_plan", Json.Bool (p.Prepared.plan <> None));
+      ("algebra_mode", Json.Str (mode_string c.Prepared.algebra_mode));
+      ("has_plan", Json.Bool (c.Prepared.plan <> None));
       ("prepare_ms", Json.Num p.Prepared.prepare_ms) ]
 
 let handle_check t ~id query stratified =
@@ -481,16 +484,14 @@ let handle_check t ~id query stratified =
     | r :: _ -> Some r
     | [] -> None
   in
-  let sql =
-    Fixq.sql_of_first_ifp ~registry:(Store.registry t.store)
-      p.Prepared.program
-  in
+  let c = Prepared.compiled p in
+  let cost = Prepared.cost p in
   Protocol.ok_response ~id
     [ ("ifp_count", Json.of_int p.Prepared.ifp_count);
       ("syntactic", Json.Bool p.Prepared.syntactic);
-      ("algebraic", Json.of_bool_opt p.Prepared.algebraic);
+      ("algebraic", Json.of_bool_opt c.Prepared.algebraic);
       ("interp_mode", Json.Str (mode_string p.Prepared.interp_mode));
-      ("algebra_mode", Json.Str (mode_string p.Prepared.algebra_mode));
+      ("algebra_mode", Json.Str (mode_string c.Prepared.algebra_mode));
       ("stratified", Json.Bool stratified);
       ("warnings",
        Json.List (List.map (fun w -> Json.Str w) p.Prepared.warnings));
@@ -518,28 +519,28 @@ let handle_check t ~id query stratified =
          (Analyze.ivm_string
             (Analyze.ivm_eligibility ~stratified p.Prepared.program)));
       ("blocking",
-       (match p.Prepared.push with
+       (match c.Prepared.push with
        | Some { Fixq_algebra.Push.blocking = Some b; _ } -> Json.Str b
        | _ -> Json.Null));
-      ("sql_renderable", Json.of_bool_opt (Option.map Result.is_ok sql));
+      ("sql_renderable",
+       Json.of_bool_opt (Option.map Result.is_ok c.Prepared.sql));
       ("sql_reason",
-       (match sql with
+       (match c.Prepared.sql with
        | Some (Error reason) -> Json.Str reason
        | Some (Ok _) | None -> Json.Null));
       ("rounds_bound",
-       (match p.Prepared.cost.Fixq_cost.Estimate.rounds_bound with
+       (match cost.Fixq_cost.Estimate.rounds_bound with
        | Some b -> Json.of_int b
        | None -> Json.Null));
-      ("bound_reason",
-       Json.Str p.Prepared.cost.Fixq_cost.Estimate.bound_reason);
+      ("bound_reason", Json.Str cost.Fixq_cost.Estimate.bound_reason);
       ("estimated_cost",
        Json.Obj
          (List.map
             (fun e ->
               ( e.Fixq_cost.Estimate.eng_name,
                 Json.Num (Float.round e.Fixq_cost.Estimate.eng_cost) ))
-            p.Prepared.cost.Fixq_cost.Estimate.engines));
-      ("chosen_engine", Json.Str p.Prepared.cost.Fixq_cost.Estimate.chosen);
+            cost.Fixq_cost.Estimate.engines));
+      ("chosen_engine", Json.Str cost.Fixq_cost.Estimate.chosen);
       ("prepared_cache", Json.Str prepared_status) ]
 
 let handle_plan t ~id query stratified =
@@ -547,7 +548,8 @@ let handle_plan t ~id query stratified =
   let (p, prepared_status) =
     get_prepared t ~stratified ~max_iterations:t.config.max_iterations query
   in
-  match p.Prepared.plan with
+  let c = Prepared.compiled p in
+  match c.Prepared.plan with
   | None ->
     Protocol.error_response ~id
       "no compilable IFP body found (interpreter-only query)"
@@ -559,7 +561,7 @@ let handle_plan t ~id query stratified =
       Some ("card " ^ Fixq_cost.Estimate.interval_string (cards p))
     in
     Protocol.ok_response ~id
-      [ ("distributive", Json.of_bool_opt p.Prepared.algebraic);
+      [ ("distributive", Json.of_bool_opt c.Prepared.algebraic);
         ("prepared_cache", Json.Str prepared_status);
         ("plan", Json.Str (Fixq_algebra.Render.to_ascii_annotated ~annot plan)) ]
 
@@ -571,7 +573,7 @@ let handle_explain t ~id query stratified =
     get_prepared t ~stratified ~max_iterations:t.config.max_iterations query
   in
   let module E = Fixq_cost.Estimate in
-  let c = p.Prepared.cost in
+  let c = Prepared.cost p in
   Protocol.ok_response ~id
     [ ("prepared_cache", Json.Str prepared_status);
       ("work", Json.Num (Float.round c.E.work));
@@ -1092,6 +1094,10 @@ let prometheus_stats t =
          (if labels = "" then "" else "{" ^ labels ^ "}")
          value)
   in
+  let counter name value =
+    Buffer.add_string buf
+      (Printf.sprintf "# TYPE %s counter\n%s %d\n" name name value)
+  in
   let counter_family name samples =
     Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" name);
     List.iter
@@ -1107,10 +1113,6 @@ let prometheus_stats t =
   (match t.durable with
   | None -> ()
   | Some d ->
-    let counter name value =
-      Buffer.add_string buf
-        (Printf.sprintf "# TYPE %s counter\n%s %d\n" name name value)
-    in
     counter "fixq_wal_appends_total" (Durability.appends d);
     counter "fixq_snapshots_total" (Durability.snapshots d);
     gauge "fixq_wal_bytes" (string_of_int (Durability.wal_bytes d));
@@ -1129,6 +1131,8 @@ let prometheus_stats t =
   counter_family "fixq_cache_misses_total"
     [ ("cache=\"prepared\"", Lru.misses t.prepared);
       ("cache=\"results\"", Result_cache.misses t.results) ];
+  counter "fixq_plan_captures_total" (Prepared.plan_captures ());
+  counter "fixq_cost_estimates_total" (Prepared.cost_estimates ());
   Buffer.add_string buf "# TYPE fixq_cache_entries gauge\n";
   List.iter
     (fun (label, v) ->
@@ -1221,6 +1225,8 @@ let handle_stats t ~id =
             cache_stats_json ~hits:(Lru.hits t.prepared)
               ~misses:(Lru.misses t.prepared) ~size:(Lru.length t.prepared)
               ~capacity:(Lru.capacity t.prepared));
+           ("plan_captures", Json.of_int (Prepared.plan_captures ()));
+           ("cost_estimates", Json.of_int (Prepared.cost_estimates ()));
            ("results",
             cache_stats_json ~hits:(Result_cache.hits t.results)
               ~misses:(Result_cache.misses t.results)

@@ -18,31 +18,9 @@ module Diag = Fixq_analysis.Diag
 let check = Alcotest.(check bool)
 
 (* Same probe wiring as the CLI and the bench: the prepared-query and
-   distributivity verdicts shape the per-engine costs. *)
-let analyze registry query =
-  let p = Parser.parse_program query in
-  let no_ifp = Fixq.count_ifps p = 0 in
-  let compiled =
-    if no_ifp then None
-    else
-      Some
-        (match Fixq.plan_of_first_ifp ~registry p with
-        | Some _ -> true
-        | None -> false
-        | exception _ -> false)
-  in
-  let sql =
-    if no_ifp then None
-    else try Fixq.sql_of_first_ifp ~registry p with _ -> None
-  in
-  let (syntactic, algebraic) =
-    match try Fixq.distributivity_verdicts ~registry p with _ -> None with
-    | Some v -> v
-    | None -> (false, None)
-  in
-  E.analyze ~registry ~compiled
-    ~sql_renderable:(Option.map Result.is_ok sql)
-    ~algebra_delta:(algebraic = Some true) ~interp_delta:syntactic p
+   distributivity verdicts, read off one plan capture, shape the
+   per-engine costs. *)
+let analyze registry query = E.of_program ~registry (Parser.parse_program query)
 
 (* ------------------------------------------------------------------ *)
 (* Rounds bound ≥ actual and auto byte-parity, across all four

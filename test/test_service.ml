@@ -149,20 +149,22 @@ let prepare store q =
 let test_prepared_modes () =
   let store = make_store () in
   let p1 = prepare store q1 in
+  let c1 = Prepared.compiled p1 in
   checki "q1 one ifp" 1 p1.Prepared.ifp_count;
   checkb "q1 syntactic" true p1.Prepared.syntactic;
-  checkb "q1 algebraic" true (p1.Prepared.algebraic = Some true);
+  checkb "q1 algebraic" true (c1.Prepared.algebraic = Some true);
   checkb "q1 interp pins delta" true (p1.Prepared.interp_mode = Fixq.Delta);
-  checkb "q1 algebra pins delta" true (p1.Prepared.algebra_mode = Fixq.Delta);
-  checkb "q1 has plan" true (p1.Prepared.plan <> None);
+  checkb "q1 algebra pins delta" true (c1.Prepared.algebra_mode = Fixq.Delta);
+  checkb "q1 has plan" true (c1.Prepared.plan <> None);
   let p2 = prepare store q2 in
+  let c2 = Prepared.compiled p2 in
   checkb "q2 syntactic" false p2.Prepared.syntactic;
-  checkb "q2 algebraic" true (p2.Prepared.algebraic = Some false);
+  checkb "q2 algebraic" true (c2.Prepared.algebraic = Some false);
   checkb "q2 interp pins naive" true (p2.Prepared.interp_mode = Fixq.Naive);
-  checkb "q2 algebra pins naive" true (p2.Prepared.algebra_mode = Fixq.Naive);
+  checkb "q2 algebra pins naive" true (c2.Prepared.algebra_mode = Fixq.Naive);
   let p3 = prepare store "1 + 1" in
   checki "no ifp" 0 p3.Prepared.ifp_count;
-  checkb "no plan" true (p3.Prepared.plan = None)
+  checkb "no plan" true ((Prepared.compiled p3).Prepared.plan = None)
 
 (* The prepared layer must agree with what `fixq check` reports — both
    call the same verdicts, but this pins the wiring. *)
@@ -178,7 +180,8 @@ let test_prepared_parity_with_check () =
       | None -> checki "no ifp" 0 p.Prepared.ifp_count
       | Some (syn, alg) ->
         checkb "syntactic parity" syn p.Prepared.syntactic;
-        checkb "algebraic parity" true (alg = p.Prepared.algebraic))
+        checkb "algebraic parity" true
+          (alg = (Prepared.compiled p).Prepared.algebraic))
     [ q1; q2; "count((1,2,3))" ]
 
 let test_prepared_multi_ifp_keeps_auto () =
@@ -192,7 +195,8 @@ let test_prepared_multi_ifp_keeps_auto () =
   let p = prepare store q in
   checki "two ifps" 2 p.Prepared.ifp_count;
   checkb "interp auto" true (p.Prepared.interp_mode = Fixq.Auto);
-  checkb "algebra auto" true (p.Prepared.algebra_mode = Fixq.Auto)
+  checkb "algebra auto" true
+    ((Prepared.compiled p).Prepared.algebra_mode = Fixq.Auto)
 
 let test_prepared_rejects () =
   let store = make_store () in
@@ -503,6 +507,438 @@ let test_server_cost_refresh () =
   checks "still a prepared hit" "hit" (sfield "prepared_cache" after);
   checki "bound tracks the grown document" (bound before + 1) (bound after)
 
+(* ------------------------------------------------------------------ *)
+(* On-demand preparation                                               *)
+(* ------------------------------------------------------------------ *)
+
+module Analyze = Fixq_analysis.Analyze
+module Diag = Fixq_analysis.Diag
+module Push = Fixq_algebra.Push
+module Estimate = Fixq_cost.Estimate
+module Semiring = Fixq_semiring.Semiring
+module Queries = Fixq_workloads.Queries
+
+(* Every documented query family plus every example file, over small
+   generated documents under the URIs they read. *)
+let parity_queries () =
+  let dir = "../examples" in
+  let examples =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".xq")
+    |> List.sort compare
+    |> List.map (fun f ->
+           In_channel.with_open_bin (Filename.concat dir f)
+             In_channel.input_all)
+  in
+  [ Queries.q1; Queries.q1_variant; Queries.q1_unfolded; Queries.q2;
+    Queries.bidder_network; Queries.bidder_network_single "person0";
+    Queries.dialogs; Queries.curriculum_check; Queries.hospital;
+    Queries.cheapest_prerequisite "c1";
+    Queries.weighted_bidder_reach "person0"; Queries.counted_closure "c1";
+    Queries.witnessed_closure "c1"; "1 + 1" ]
+  @ examples
+
+let load_parity_docs store =
+  List.iter
+    (fun (uri, kind, size) ->
+      Store.load_generated store ~uri ~kind ~size ~seed:3)
+    [ ("curriculum.xml", "curriculum", 12.0); ("auction.xml", "xmark", 0.001);
+      ("romeo.xml", "play", 1.0); ("hospital.xml", "hospital", 60.0) ]
+
+(* The prepared layer as it was computed eagerly: every pipeline stage
+   in order at preparation, and only the estimate re-run after the
+   generation moves. *)
+type eager = {
+  e_source : string;
+  e_program : Fixq.Lang.Ast.program;
+  e_spans : Parser.Spans.t;
+  e_warnings : string list;
+  e_analysis : Analyze.t;
+  e_ifp_count : int;
+  e_syntactic : bool;
+  e_plan : (int * Fixq_algebra.Plan.t) option;
+  e_push : Push.outcome option;
+  e_algebraic : bool option;
+  e_sql : (Fixq_algebra.Render_sql.rendered, string) result option;
+  e_cost : Estimate.t;
+}
+
+(* what [refresh] used to re-run against the current synopses *)
+let eager_refresh registry e =
+  { e with
+    e_cost =
+      Estimate.analyze ~registry ~spans:e.e_spans
+        ~compiled:(if e.e_ifp_count = 0 then None else Some (e.e_plan <> None))
+        ~sql_renderable:(Option.map Result.is_ok e.e_sql)
+        ~algebra_delta:(e.e_algebraic = Some true)
+        ~interp_delta:e.e_syntactic e.e_program }
+
+let eager_prepare ~registry ~max_iterations source =
+  let program, spans = Parser.parse_program_spans source in
+  let static = Fixq_lang.Static.check_program program in
+  let analysis = Analyze.analyze ~stratified:false ~spans program in
+  let ifp_count = List.length analysis.Analyze.ifps in
+  let syntactic =
+    match analysis.Analyze.ifps with [] -> false | r :: _ -> r.Analyze.syntactic
+  in
+  let plan =
+    if ifp_count = 0 then None
+    else Fixq.plan_of_first_ifp ~registry ~max_iterations program
+  in
+  let push =
+    Option.map (fun (fix_id, p) -> Push.check ~stratified:false ~fix_id p) plan
+  in
+  let sql =
+    if ifp_count = 0 then None
+    else Fixq.sql_of_first_ifp ~registry ~max_iterations program
+  in
+  eager_refresh registry
+    { e_source = source; e_program = program; e_spans = spans;
+      e_warnings =
+        List.map
+          (fun d -> Format.asprintf "%a" Fixq_lang.Static.pp_diagnostic d)
+          static;
+      e_analysis = analysis; e_ifp_count = ifp_count; e_syntactic = syntactic;
+      e_plan = plan; e_push = push;
+      e_algebraic = Option.map (fun o -> o.Push.distributive) push;
+      e_sql = sql; e_cost = Estimate.analyze program }
+
+let mode_str = function
+  | Fixq.Naive -> "naive"
+  | Fixq.Delta -> "delta"
+  | Fixq.Auto -> "auto"
+
+let e_interp_mode e =
+  if e.e_ifp_count = 0 then Fixq.Naive
+  else if e.e_ifp_count > 1 then Fixq.Auto
+  else if e.e_syntactic then Fixq.Delta
+  else Fixq.Naive
+
+let e_algebra_mode e =
+  if e.e_ifp_count = 0 then Fixq.Naive
+  else if e.e_ifp_count > 1 then Fixq.Auto
+  else
+    match e.e_algebraic with
+    | Some true -> Fixq.Delta
+    | Some false -> Fixq.Naive
+    | None -> Fixq.Auto
+
+let diag_json (d : Diag.t) =
+  let line, col = Option.value ~default:(0, 0) d.Diag.loc in
+  Json.Obj
+    [ ("severity", Json.Str (Diag.severity_string d.Diag.severity));
+      ("code", Json.Str d.Diag.code); ("line", Json.of_int line);
+      ("col", Json.of_int col); ("context", Json.Str d.Diag.context);
+      ("message", Json.Str d.Diag.message) ]
+
+let ok_obj fields = Json.Obj (("ok", Json.Bool true) :: fields)
+
+let rounds_json (c : Estimate.t) =
+  match c.Estimate.rounds_bound with Some b -> Json.of_int b | None -> Json.Null
+
+let expected_check e ~cache =
+  let first =
+    match e.e_analysis.Analyze.ifps with r :: _ -> Some r | [] -> None
+  in
+  let semiring = Option.bind first (fun r -> r.Analyze.semiring) in
+  let push_blocks =
+    match (e.e_push, first) with
+    | Some o, Some r ->
+      Option.to_list (Analyze.push_block_diag ~spans:e.e_spans r o)
+    | _ -> []
+  in
+  let diagnostics =
+    List.stable_sort Diag.compare
+      (e.e_analysis.Analyze.diagnostics @ push_blocks
+      @ e.e_cost.Estimate.diagnostics)
+  in
+  ok_obj
+    [ ("ifp_count", Json.of_int e.e_ifp_count);
+      ("syntactic", Json.Bool e.e_syntactic);
+      ("algebraic", Json.of_bool_opt e.e_algebraic);
+      ("interp_mode", Json.Str (mode_str (e_interp_mode e)));
+      ("algebra_mode", Json.Str (mode_str (e_algebra_mode e)));
+      ("stratified", Json.Bool false);
+      ("warnings", Json.List (List.map (fun w -> Json.Str w) e.e_warnings));
+      ("diagnostics", Json.List (List.map diag_json diagnostics));
+      ("divergence",
+       match first with
+       | Some r -> Json.Str (Analyze.divergence_string r.Analyze.divergence)
+       | None -> Json.Null);
+      ("semiring",
+       match semiring with
+       | Some k -> Json.Str (Semiring.kind_to_string k)
+       | None -> Json.Null);
+      ("convergence",
+       match semiring with
+       | Some k -> Json.Str (Semiring.stability_string (Semiring.stability k))
+       | None -> Json.Null);
+      ("node_only",
+       Json.of_bool_opt
+         (Option.map
+            (fun r -> r.Analyze.node_only_seed && r.Analyze.node_only_body)
+            first));
+      ("ivm",
+       Json.Str
+         (Analyze.ivm_string
+            (Analyze.ivm_eligibility ~stratified:false e.e_program)));
+      ("blocking",
+       match e.e_push with
+       | Some { Push.blocking = Some b; _ } -> Json.Str b
+       | _ -> Json.Null);
+      ("sql_renderable", Json.of_bool_opt (Option.map Result.is_ok e.e_sql));
+      ("sql_reason",
+       match e.e_sql with Some (Error r) -> Json.Str r | _ -> Json.Null);
+      ("rounds_bound", rounds_json e.e_cost);
+      ("bound_reason", Json.Str e.e_cost.Estimate.bound_reason);
+      ("estimated_cost",
+       Json.Obj
+         (List.map
+            (fun en ->
+              ( en.Estimate.eng_name,
+                Json.Num (Float.round en.Estimate.eng_cost) ))
+            e.e_cost.Estimate.engines));
+      ("chosen_engine", Json.Str e.e_cost.Estimate.chosen);
+      ("prepared_cache", Json.Str cache) ]
+
+let expected_explain e ~cache =
+  let c = e.e_cost in
+  ok_obj
+    [ ("prepared_cache", Json.Str cache);
+      ("work", Json.Num (Float.round c.Estimate.work));
+      ("result_card",
+       Json.Str (Estimate.interval_string c.Estimate.result_card));
+      ("rounds_bound", rounds_json c);
+      ("bound_reason", Json.Str c.Estimate.bound_reason);
+      ("engines",
+       Json.List
+         (List.map
+            (fun en ->
+              Json.Obj
+                [ ("name", Json.Str en.Estimate.eng_name);
+                  ("cost", Json.Num (Float.round en.Estimate.eng_cost));
+                  ("native", Json.Bool en.Estimate.eng_native);
+                  ("note", Json.Str en.Estimate.eng_note) ])
+            c.Estimate.engines));
+      ("chosen", Json.Str c.Estimate.chosen);
+      ("choice_reason", Json.Str c.Estimate.choice_reason);
+      ("operators",
+       Json.List
+         (List.map
+            (fun r ->
+              Json.Obj
+                ([ ("desc", Json.Str r.Estimate.op_desc);
+                   ("depth", Json.of_int r.Estimate.op_depth);
+                   ("card",
+                    Json.Str (Estimate.interval_string r.Estimate.op_card)) ]
+                @ (match r.Estimate.op_loc with
+                  | Some (l, col) ->
+                    [ ("line", Json.of_int l); ("col", Json.of_int col) ]
+                  | None -> [])
+                @
+                match r.Estimate.op_note with
+                | Some n -> [ ("note", Json.Str n) ]
+                | None -> []))
+            c.Estimate.rows));
+      ("diagnostics", Json.List (List.map diag_json c.Estimate.diagnostics));
+      ("text", Json.Str (Estimate.to_text c)) ]
+
+let expected_plan registry e ~cache =
+  match e.e_plan with
+  | None ->
+    Json.Obj
+      [ ("ok", Json.Bool false);
+        ("error",
+         Json.Str "no compilable IFP body found (interpreter-only query)") ]
+  | Some (_, plan) ->
+    let cards = Estimate.plan_cards ~registry plan in
+    let annot p = Some ("card " ^ Estimate.interval_string (cards p)) in
+    ok_obj
+      [ ("distributive", Json.of_bool_opt e.e_algebraic);
+        ("prepared_cache", Json.Str cache);
+        ("plan",
+         Json.Str (Fixq_algebra.Render.to_ascii_annotated ~annot plan)) ]
+
+let expected_prepare e ~cache =
+  ok_obj
+    [ ("prepared_cache", Json.Str cache);
+      ("hash", Json.Str (Prepared.hash_source e.e_source));
+      ("ifp_count", Json.of_int e.e_ifp_count);
+      ("interp_mode", Json.Str (mode_str (e_interp_mode e)));
+      ("algebra_mode", Json.Str (mode_str (e_algebra_mode e)));
+      ("has_plan", Json.Bool (e.e_plan <> None)) ]
+
+let without name = function
+  | Json.Obj fields -> Json.Obj (List.remove_assoc name fields)
+  | j -> j
+
+(* Plan captures draw relation names [R<n>] from a process-wide counter,
+   so two captures of one body differ only in those numbers: rename them
+   by first occurrence before comparing. *)
+let canonical_relations s =
+  let b = Buffer.create (String.length s) in
+  let names = Hashtbl.create 8 in
+  let n = String.length s in
+  let is_digit c = c >= '0' && c <= '9' in
+  let rec go i =
+    if i < n then
+      if s.[i] = 'R' && i + 1 < n && is_digit s.[i + 1] then begin
+        let j = ref (i + 1) in
+        while !j < n && is_digit s.[!j] do incr j done;
+        let name = String.sub s i (!j - i) in
+        let k =
+          match Hashtbl.find_opt names name with
+          | Some k -> k
+          | None ->
+            let k = Hashtbl.length names in
+            Hashtbl.add names name k;
+            k
+        in
+        Buffer.add_string b (Printf.sprintf "R#%d" k);
+        go !j
+      end
+      else begin
+        Buffer.add_char b s.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents b
+
+let op_line op q =
+  Json.to_string (Json.Obj [ ("op", Json.Str op); ("query", Json.Str q) ])
+
+(* check/explain/plan/prepare answered from the on-demand memos are the
+   bytes the eager pipeline produced — before a patch-doc, and after it
+   moved the generation (prepared hits, refreshed estimates). *)
+let test_prepared_parity_with_eager () =
+  let server = mk_server () in
+  let store = Server.store server in
+  let registry = Store.registry store in
+  load_parity_docs store;
+  let max_iterations = (Server.config server).Server.max_iterations in
+  let queries = parity_queries () in
+  let compare_ops ~cache_first e =
+    List.iteri
+      (fun i (op, expected) ->
+        let cache = if i = 0 then cache_first else "hit" in
+        let got = send server (op_line op e.e_source) in
+        checks
+          (Printf.sprintf "%s parity: %s" op
+             (String.sub e.e_source 0 (min 40 (String.length e.e_source))))
+          (canonical_relations (Json.to_string (expected ~cache)))
+          (canonical_relations (Json.to_string (without "prepare_ms" got))))
+      [ ("check", expected_check e); ("explain", expected_explain e);
+        ("plan", expected_plan registry e); ("prepare", expected_prepare e) ]
+  in
+  let eagers =
+    List.map
+      (fun q ->
+        let e = eager_prepare ~registry ~max_iterations q in
+        compare_ops ~cache_first:"miss" e;
+        e)
+      queries
+  in
+  let gen = Store.generation store in
+  checkb "patch ok" true
+    (ok
+       (send server
+          (Json.to_string
+             (Json.Obj
+                [ ("op", Json.Str "patch-doc");
+                  ("uri", Json.Str "curriculum.xml");
+                  ("action", Json.Str "insert");
+                  ("path", Json.Str "/curriculum");
+                  ("xml", Json.Str "<course code=\"c99\"/>") ]))));
+  checkb "generation moved" true (Store.generation store > gen);
+  List.iter
+    (fun e -> compare_ops ~cache_first:"hit" (eager_refresh registry e))
+    eagers
+
+let strip_varying j =
+  List.fold_left (fun j k -> without k j) j
+    [ "wall_ms"; "prepared_cache"; "result_cache" ]
+
+(* First forcings race: threads asking for the compiled part and the
+   estimate of one fresh text at the same time must all get them, with
+   the bytes a single-threaded server answers. The let-bound count makes
+   the plan capture slow enough to be preempted mid-way. *)
+let test_prepared_concurrent_forcing () =
+  let q =
+    "let $n := count(for $i in 1 to 200000 return $i * 2) return count(" ^ q1
+    ^ ")"
+  in
+  let lines =
+    [ Json.to_string
+        (Json.Obj
+           [ ("op", Json.Str "run"); ("query", Json.Str q);
+             ("engine", Json.Str "algebra") ]);
+      Json.to_string
+        (Json.Obj
+           [ ("op", Json.Str "run"); ("query", Json.Str q);
+             ("engine", Json.Str "auto") ]);
+      op_line "check" q ]
+  in
+  let answer server line =
+    strip_varying (Json.parse (fst (Server.handle_line server line)))
+  in
+  let sequential = mk_server () in
+  ignore (send sequential load_doc_line);
+  let expected =
+    List.map (fun l -> Json.to_string (answer sequential l)) lines
+  in
+  let server = mk_server () in
+  ignore (send server load_doc_line);
+  let captures = Prepared.plan_captures () in
+  let threads = 6 in
+  let results = Array.make threads [] in
+  let failures = Atomic.make 0 in
+  let worker i =
+    (* each thread starts at a different request kind *)
+    let k = i mod List.length lines in
+    let order =
+      List.filteri (fun j _ -> j >= k) lines
+      @ List.filteri (fun j _ -> j < k) lines
+    in
+    try
+      results.(i) <-
+        List.map (fun l -> (l, Json.to_string (answer server l))) order
+    with _ -> Atomic.incr failures
+  in
+  List.iter Thread.join (List.init threads (Thread.create worker));
+  checki "no thread raised" 0 (Atomic.get failures);
+  checki "one plan capture for the entry" 1
+    (Prepared.plan_captures () - captures);
+  Array.iter
+    (List.iter (fun (l, got) ->
+         checks "same bytes as sequential"
+           (List.assoc l (List.combine lines expected)) got))
+    results;
+  checkb "answers ok" true
+    (List.for_all
+       (fun s -> Json.bool_opt (Json.member "ok" (Json.parse s)) = Some true)
+       expected)
+
+(* Refreshing across many generations must not chain superseded
+   records: an entry refreshed 1000 times stays the size of a fresh
+   one. *)
+let test_prepared_refresh_retention () =
+  let store = make_store () in
+  let p = ref (prepare store q1) in
+  ignore (Prepared.cost !p);
+  for i = 1 to 1000 do
+    Store.load_xml store ~uri:"bump.xml" (Printf.sprintf "<b n=\"%d\"/>" i);
+    p := Prepared.refresh ~store !p;
+    ignore (Prepared.cost !p)
+  done;
+  checki "generation tracked" (Store.generation store) !p.Prepared.generation;
+  let fresh = prepare store q1 in
+  ignore (Prepared.cost fresh);
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let w = words !p and w0 = words fresh in
+  if w > 2 * w0 then
+    Alcotest.failf "refreshed entry reaches %d words, fresh one %d" w w0
+
 let () =
   Alcotest.run "service"
     [ ("json",
@@ -522,7 +958,13 @@ let () =
            test_prepared_parity_with_check;
          Alcotest.test_case "multi-ifp keeps auto" `Quick
            test_prepared_multi_ifp_keeps_auto;
-         Alcotest.test_case "rejects" `Quick test_prepared_rejects ]);
+         Alcotest.test_case "rejects" `Quick test_prepared_rejects;
+         Alcotest.test_case "parity with eager pipeline" `Quick
+           test_prepared_parity_with_eager;
+         Alcotest.test_case "concurrent forcing" `Quick
+           test_prepared_concurrent_forcing;
+         Alcotest.test_case "refresh retention" `Quick
+           test_prepared_refresh_retention ]);
       ("server",
        [ Alcotest.test_case "cache lifecycle" `Quick
            test_server_cache_lifecycle;
