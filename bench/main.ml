@@ -19,6 +19,7 @@ module Parser = Fixq_lang.Parser
 module Stats = Fixq_lang.Stats
 module Render = Fixq_algebra.Render
 module Push = Fixq_algebra.Push
+module Plan_eval = Fixq_algebra.Plan_eval
 module W = Fixq_workloads
 
 module Json = Fixq_service.Json
@@ -919,6 +920,17 @@ let columnar_bench () =
       in
       let (interp, _) = run (Fixq.Interpreter Fixq.Auto) in
       let (alg, k) = run (Fixq.Algebra Fixq.Auto) in
+      (* a separate profiled run, so the per-operator clock reads stay
+         out of [algebra_ms] *)
+      let profile =
+        Plan_eval.reset_profile ();
+        Plan_eval.profile_timing := true;
+        Fun.protect
+          ~finally:(fun () -> Plan_eval.profile_timing := false)
+          (fun () ->
+            ignore (Fixq.run ~registry ~engine:(Fixq.Algebra Fixq.Auto) query));
+        Plan_eval.profile_rows ()
+      in
       let renderable =
         match
           Fixq.sql_of_first_ifp ~registry (Parser.parse_program query)
@@ -944,6 +956,14 @@ let columnar_bench () =
         (k.Counters.col_rows / 1000)
         (k.Counters.col_boxed_rows / 1000)
         (if agree then "yes" else "NO");
+      List.iteri
+        (fun i (r : Plan_eval.profile_row) ->
+          if i < 3 then
+            printf "%18s   %s:%-24s %8.2f ms self, %6d evals, %8d rows\n"
+              (if i = 0 then "top operators" else "") r.Plan_eval.lifetime
+              r.Plan_eval.op r.Plan_eval.self_ms r.Plan_eval.evals
+              r.Plan_eval.rows)
+        profile;
       record_json
         [ ("section", Json.Str "columnar"); ("family", Json.Str name);
           ("interp_ms", Json.Num interp.Fixq.wall_ms);
@@ -956,7 +976,18 @@ let columnar_bench () =
           ("col_batches", Json.of_int k.Counters.col_batches);
           ("col_rows", Json.of_int k.Counters.col_rows);
           ("col_boxed_rows", Json.of_int k.Counters.col_boxed_rows);
-          ("agree", Json.Bool agree) ])
+          ("agree", Json.Bool agree);
+          ("profile",
+           Json.List
+             (List.map
+                (fun (r : Plan_eval.profile_row) ->
+                  Json.Obj
+                    [ ("op", Json.Str r.Plan_eval.op);
+                      ("lifetime", Json.Str r.Plan_eval.lifetime);
+                      ("evals", Json.of_int r.Plan_eval.evals);
+                      ("rows", Json.of_int r.Plan_eval.rows);
+                      ("self_ms", Json.Num r.Plan_eval.self_ms) ])
+                profile)) ])
     families;
   printf "\n"
 

@@ -29,7 +29,7 @@ type compiled = {
       (** rebindable leaves for the body's other free variables (and
           ["."] for the context item): the same compiled plan serves
           every evaluation of the site — bind them via
-          {!Plan_eval.run_with} *)
+          {!Plan_eval.run_fix} *)
 }
 
 (** [body ~functions ~recursion_var ~bindings e_rec] compiles a

@@ -134,14 +134,6 @@ let children = function
   | Mu f | Mu_delta f -> [ f.seed; f.body ]
   | Iterate it -> [ it.it_result ]
 
-let rec contains_fix_ref id = function
-  | Fix_ref (i, _) -> i = id
-  | Mu f | Mu_delta f ->
-    (* A nested fixpoint's body references its own input; only the seed
-       can smuggle the outer ref in. *)
-    contains_fix_ref id f.seed || contains_fix_ref id f.body
-  | p -> List.exists (contains_fix_ref id) (children p)
-
 let tag_counter = ref 0
 
 let fresh_fix_id () =
@@ -150,7 +142,7 @@ let fresh_fix_id () =
 
 let bad fmt = Format.kasprintf invalid_arg fmt
 
-let rec schema_of = function
+let schema_with schema_of = function
   | Lit_table (schema, _) -> schema
   | Doc _ -> [ "item" ]
   | Fix_ref (_, schema) -> schema
@@ -218,3 +210,5 @@ let rec schema_of = function
     s
   | Template (_, p) -> schema_of p
   | Iterate it -> schema_of it.it_result
+
+let rec schema_of p = schema_with schema_of p

@@ -106,13 +106,14 @@ val push_through : t -> bool
 (** Direct children of the root operator. *)
 val children : t -> t list
 
-(** Does a [Fix_ref] with the given id occur in the plan (not counting
-    nested fixpoint bodies' own refs)? *)
-val contains_fix_ref : int -> t -> bool
-
 (** Output schema of a plan. Raises [Invalid_argument] when the plan is
     ill-formed (unknown columns, schema mismatches). *)
 val schema_of : t -> string list
+
+(** One level of {!schema_of}: the root operator's output schema,
+    computed from its children's schemas as the given function reports
+    them — for callers that already hold those schemas. *)
+val schema_with : (t -> string list) -> t -> string list
 
 (** Fresh fixpoint-reference ids for compilers/tests. *)
 val fresh_fix_id : unit -> int

@@ -11,34 +11,15 @@ exception Error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
-(* Plans are DAGs: compiled plans share subtrees (e.g. the context
-   binding feeding both inputs of an id-join). Each physical node must
-   evaluate exactly once per environment — operators like # (Tag) mint
-   fresh values per evaluation, so re-evaluating a shared subtree would
-   break join alignment. A fresh memo table is used per fixpoint
-   round (the Fix_ref binding changes). *)
-module Phys = Hashtbl.Make (struct
-  type t = Plan.t
-
-  let equal = ( == )
-
-  (* Structural but depth-bounded (OCaml's generic hash): distinct
-     physical nodes may collide only when structurally similar, and
-     [equal] disambiguates. Hashing by operator symbol alone would
-     degenerate every δ/π bucket into a linear scan. *)
-  let hash = Hashtbl.hash
-end)
-
 type t = {
   registry : Doc_registry.t;
   max_iterations : int;
   stats : Stats.t;
-  persistent : Relation.t Phys.t;
 }
 
 let create ?(registry = Doc_registry.default) ?(max_iterations = 1_000_000)
     ~stats () =
-  { registry; max_iterations; stats; persistent = Phys.create 256 }
+  { registry; max_iterations; stats }
 
 let stats t = t.stats
 
@@ -153,18 +134,25 @@ let whitespace_tokens s =
 (* Axis steps repeat heavily across fixpoint rounds (lifted
    loop-invariant paths re-enter the step with the same context nodes),
    so results are cached per (axis, test, context node). The (axis,
-   test) part is interned to a small integer once per step evaluation,
-   so the per-row cache key is a single unboxed int — hashing a string
-   tuple per row costs more than the staircase scan it saves. *)
+   test) part is interned to a small integer when a plan is lowered
+   (see [lower]), so the per-row cache key is a single unboxed int —
+   hashing a string tuple per row costs more than the staircase scan it
+   saves. Lowering may run on several server threads at once, hence the
+   lock; evaluation only reads the interned id. *)
 let step_ids : (string, int) Hashtbl.t = Hashtbl.create 64
+let step_ids_lock = Mutex.create ()
 
-let step_id_of key =
-  match Hashtbl.find_opt step_ids key with
-  | Some i -> i
-  | None ->
-    let i = Hashtbl.length step_ids in
-    Hashtbl.add step_ids key i;
-    i
+let step_id_of axis test =
+  let key =
+    Axis.axis_to_string axis ^ "|" ^ Format.asprintf "%a" Axis.pp_test test
+  in
+  Mutex.protect step_ids_lock (fun () ->
+      match Hashtbl.find_opt step_ids key with
+      | Some i -> i
+      | None ->
+        let i = Hashtbl.length step_ids in
+        Hashtbl.add step_ids key i;
+        i)
 
 let step_cache : (int, Node.t list) Hashtbl.t = Hashtbl.create 4096
 
@@ -202,16 +190,9 @@ let step_push b i (m : Node.t) =
   b.nds.(b.n) <- m;
   b.n <- b.n + 1
 
-let eval_step rel axis test colname =
-  let ci = Relation.column_index rel colname in
+let eval_step rel axis test ci step_id =
   let c = (Relation.cols rel).(ci) in
   let n = Relation.cardinal rel in
-  (* The textual cache key is a function of (axis, test) only — build it
-     once per step evaluation, not once per row. *)
-  let step_id =
-    step_id_of
-      (Axis.axis_to_string axis ^ "|" ^ Format.asprintf "%a" Axis.pp_test test)
-  in
   let node_at =
     match c with
     | Relation.Nodes a -> fun i -> a.(i)
@@ -333,46 +314,164 @@ let eval_aggr agg spec rel =
     in
     Relation.create schema rows
 
-(* Memo lifetimes:
-   - volatile: plans depending on a Fix_ref being iterated by an
-     enclosing µ/µ∆ — fresh every round;
-   - run: plans depending on externally bound refs (variable bindings of
-     a compiled body) — fresh per [run_with] call;
-   - persistent (process-wide): pure plans over immutable documents —
-     shared across runs, so e.g. [$doc//open_auction] materializes once
-     even when thousands of fixpoints reuse it. *)
+(* ------------------------------------------------------------------ *)
+(* Slot programs                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Plans are DAGs: compiled plans share subtrees (e.g. the context
+   binding feeding both inputs of an id-join). Each physical node must
+   evaluate exactly once per environment — operators like # (Tag) mint
+   fresh values per evaluation, so re-evaluating a shared subtree would
+   break join alignment. [lower] walks the DAG once and gives every
+   physical node a dense slot, so the memos are plain arrays indexed by
+   slot, and resolves once what does not depend on the inputs (which
+   Fix_refs a subplan mentions, the step cache id, column positions,
+   the semi-join shape). A program is immutable: one lowering serves
+   any number of runs, on any thread. *)
+type node = {
+  slot : int;
+  plan : Plan.t;  (** the operator; its inputs are read from [kids] *)
+  kids : node array;  (** resolved children, in {!Plan.children} order *)
+  refs : int list;  (** [Fix_ref] ids occurring in the subplan, sorted *)
+  step_id : int;  (** interned (axis, test) of a step; [-1] otherwise *)
+  cols : int array;
+      (** lowered positions of the input columns the operator reads by
+          name (step: the node column; ⊚: the arguments), [-1] where
+          the input schema is not static *)
+  semi : bool;
+      (** δ∘π∘⋈ keeping only left-side columns: an existential filter,
+          evaluated as a semi-join *)
+}
+
+type program = { root : node; size : int }
+
+module Phys = Hashtbl.Make (struct
+  type t = Plan.t
+
+  let equal = ( == )
+
+  (* Structural but depth-bounded (OCaml's generic hash): distinct
+     physical nodes may collide only when structurally similar, and
+     [equal] disambiguates. *)
+  let hash = Hashtbl.hash
+end)
+
+let lower (root : Plan.t) : program =
+  (* physical node → (lowered node, static output schema if any) *)
+  let seen : (node * string list option) Phys.t = Phys.create 64 in
+  let next = ref 0 in
+  let schema_of p =
+    match snd (Phys.find seen p) with
+    | Some s -> s
+    | None -> raise Exit (* a child without a static schema *)
+  in
+  let static_schema p =
+    match Plan.schema_with schema_of p with
+    | s -> Some s
+    | exception (Invalid_argument _ | Exit) -> None
+  in
+  let position p name =
+    match snd (Phys.find seen p) with
+    | Some s -> (
+      match List.find_index (String.equal name) s with
+      | Some i -> i
+      | None -> -1)
+    | None -> -1
+  in
+  let rec go p =
+    match Phys.find_opt seen p with
+    | Some (n, _) -> n
+    | None ->
+      let kids = Array.of_list (List.map go (Plan.children p)) in
+      let refs =
+        match p with
+        | Plan.Fix_ref (id, _) -> [ id ]
+        | _ ->
+          List.sort_uniq Int.compare
+            (Array.fold_left (fun acc k -> k.refs @ acc) [] kids)
+      in
+      let step_id, cols =
+        match p with
+        | Plan.Step (axis, test, col, q) ->
+          (step_id_of axis test, [| position q col |])
+        | Plan.Fun (_, spec, q) ->
+          (-1, Array.of_list (List.map (position q) spec.Plan.fun_args))
+        | _ -> (-1, [||])
+      in
+      let semi =
+        match p with
+        | Plan.Distinct (Plan.Project (cols, Plan.Join (_, a, _))) -> (
+          match snd (Phys.find seen a) with
+          | Some sa -> List.for_all (fun (_, o) -> List.mem o sa) cols
+          | None -> false)
+        | _ -> false
+      in
+      let n = { slot = !next; plan = p; kids; refs; step_id; cols; semi } in
+      incr next;
+      Phys.replace seen p (n, static_schema p);
+      n
+  in
+  let root = go root in
+  { root; size = !next }
+
+let mentions prog id = List.mem id prog.root.refs
+
+(* The lowered position of a column, checked against the relation at
+   hand: a Fix_ref bound at run time, or a µ whose body reorders its
+   seed's columns, may present a different order than the static
+   schema, and then the name decides. *)
+let column_at rel name hint =
+  if hint < 0 then Relation.column_index rel name
+  else
+    match List.nth_opt (Relation.schema rel) hint with
+    | Some c when String.equal c name -> hint
+    | _ -> Relation.column_index rel name
+
+(* ------------------------------------------------------------------ *)
+(* Slot memos                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Memo lifetimes, one slot-indexed array each:
+   - volatile: subplans depending on a Fix_ref being iterated by an
+     enclosing µ/µ∆ — a fresh array every round (a nested µ's rounds
+     get their own);
+   - run: subplans depending on externally bound refs (the variable
+     bindings of a compiled body) — kept while the binding values stay
+     the same ({!new_session} drops them);
+   - persistent: subplans over documents only — kept for the life of
+     the {!memo}, i.e. one query run, so e.g. [$doc//open_auction]
+     materializes once even when thousands of fixpoints reuse it. *)
+let absent = Relation.empty [ "(absent)" ]
+
+type memo = {
+  prog : program;
+  persistent : Relation.t array;
+  run : Relation.t array;
+}
+
+let memo prog =
+  { prog; persistent = Array.make prog.size absent;
+    run = Array.make prog.size absent }
+
+let new_session m = Array.fill m.run 0 (Array.length m.run) absent
+
 type env = {
   fix : Relation.t Imap.t;
-  volatile : Relation.t Phys.t;
-  run : Relation.t Phys.t;
+  volatile : Relation.t array;
+  memo : memo;
   dep_ids : int list;  (** Fix_ref ids currently iterated *)
   run_ids : int list;  (** externally bound Fix_ref ids *)
 }
 
-let contains_cache : (int, bool) Hashtbl.t Phys.t = Phys.create 256
+let rec mentions_any ids refs =
+  match ids with
+  | [] -> false
+  | id :: rest -> List.mem id refs || mentions_any rest refs
 
-let contains_ref id p =
-  let tbl =
-    match Phys.find_opt contains_cache p with
-    | Some t -> t
-    | None ->
-      let t = Hashtbl.create 4 in
-      Phys.replace contains_cache p t;
-      t
-  in
-  match Hashtbl.find_opt tbl id with
-  | Some b -> b
-  | None ->
-    let b = Plan.contains_fix_ref id p in
-    Hashtbl.replace tbl id b;
-    b
-
-let memo_for t env p =
-  if List.exists (fun id -> contains_ref id p) env.dep_ids then env.volatile
-  else if List.exists (fun id -> contains_ref id p) env.run_ids then env.run
-  else t.persistent
-
-let profile : (string, int * int * float) Hashtbl.t = Hashtbl.create 64
+let memo_for env n =
+  if mentions_any env.dep_ids n.refs then env.volatile
+  else if mentions_any env.run_ids n.refs then env.memo.run
+  else env.memo.persistent
 
 (* Per-pair theta checks for a join, precompiled per column pair
    (specialized for the common string/int columns). *)
@@ -420,49 +519,69 @@ let theta_extra ra rb theta =
   end
 
 (* Per-operator self-time accounting is opt-in: the two clock reads per
-   evaluation are measurable on workloads with tens of thousands of
-   tiny fixpoint rounds. *)
+   evaluation, and the profile key, are measurable on workloads with
+   tens of thousands of tiny fixpoint rounds. *)
 let profile_timing = ref false
 
-(* Time spent in child evaluations of the current [eval_raw] frame, so
-   the profile records self-time per operator, not inclusive time. *)
+type profile_row = {
+  op : string;
+  lifetime : string;
+  evals : int;
+  rows : int;
+  self_ms : float;
+}
+
+let profile : (string * string, profile_row) Hashtbl.t = Hashtbl.create 64
+
+let reset_profile () = Hashtbl.reset profile
+
+let profile_rows () =
+  Hashtbl.fold (fun _ r acc -> r :: acc) profile []
+  |> List.sort (fun a b -> Float.compare b.self_ms a.self_ms)
+
+(* Time spent in child evaluations of the current [eval_timed] frame,
+   so the profile records self-time per operator, not inclusive time. *)
 let child_time = ref 0.0
 
-let rec eval t env p =
-  let memo = memo_for t env p in
-  match Phys.find_opt memo p with
-  | Some rel -> rel
-  | None ->
-    let timed = !profile_timing in
-    let t0 = if timed then Sys.time () else 0.0 in
-    let saved = !child_time in
-    child_time := 0.0;
-    let rel = eval_raw t env p in
-    let self =
-      if timed then begin
-        let elapsed = Sys.time () -. t0 in
-        let s = elapsed -. !child_time in
-        child_time := saved +. elapsed;
-        s
-      end
-      else 0.0
+let rec eval t env n =
+  let memo = memo_for env n in
+  let cached = memo.(n.slot) in
+  if cached != absent then cached
+  else begin
+    let rel =
+      if !profile_timing then eval_timed t env memo n else eval_raw t env n
     in
-    (let sym = Plan.op_symbol p in
-     let kind =
-       if memo == env.volatile then "V:"
-       else if memo == env.run then "R:"
-       else "P:"
-     in
-     let key = kind ^ String.sub sym 0 (min 6 (String.length sym)) in
-     let (c, r, s) =
-       Option.value ~default:(0, 0, 0.) (Hashtbl.find_opt profile key)
-     in
-     Hashtbl.replace profile key (c + 1, r + Relation.cardinal rel, s +. self));
-    Phys.replace memo p rel;
+    memo.(n.slot) <- rel;
     rel
+  end
 
-and eval_raw t env (p : Plan.t) : Relation.t =
-  match p with
+and eval_timed t env memo n =
+  let t0 = Sys.time () in
+  let saved = !child_time in
+  child_time := 0.0;
+  let rel = eval_raw t env n in
+  let elapsed = Sys.time () -. t0 in
+  let self = elapsed -. !child_time in
+  child_time := saved +. elapsed;
+  let lifetime =
+    if memo == env.volatile then "V"
+    else if memo == env.memo.run then "R"
+    else "P"
+  in
+  let op = Plan.op_symbol n.plan in
+  let r =
+    Option.value
+      ~default:{ op; lifetime; evals = 0; rows = 0; self_ms = 0. }
+      (Hashtbl.find_opt profile (lifetime, op))
+  in
+  Hashtbl.replace profile (lifetime, op)
+    { r with evals = r.evals + 1; rows = r.rows + Relation.cardinal rel;
+      self_ms = r.self_ms +. (self *. 1000.) };
+  rel
+
+and eval_raw t env n : Relation.t =
+  let kid i = eval t env n.kids.(i) in
+  match n.plan with
   | Plan.Lit_table (schema, rows) -> Relation.create schema rows
   | Plan.Doc uri -> (
     match Doc_registry.find ~registry:t.registry uri with
@@ -472,57 +591,55 @@ and eval_raw t env (p : Plan.t) : Relation.t =
     match Imap.find_opt id env.fix with
     | Some rel -> rel
     | None -> Relation.empty schema)
-  | Plan.Project (cols, q) -> Relation.project cols (eval t env q)
-  | Plan.Select (c, q) -> Relation.select_bool c (eval t env q)
-  | Plan.Join (pred, a, b) ->
-    let ra = eval t env a and rb = eval t env b in
+  | Plan.Project (cols, _) -> Relation.project cols (kid 0)
+  | Plan.Select (c, _) -> Relation.select_bool c (kid 0)
+  | Plan.Join (pred, _, _) ->
+    let ra = kid 0 and rb = kid 1 in
     let keys, residual = promote_theta_eq ra rb pred in
     let extra = theta_extra ra rb residual in
     Relation.equi_join ?extra keys ra rb
-  | Plan.Cross (a, b) -> Relation.cross (eval t env a) (eval t env b)
-  | Plan.Distinct (Plan.Project (cols, Plan.Join (pred, a, b)))
-    when (match Plan.schema_of a with
-         | sa -> List.for_all (fun (_, o) -> List.mem o sa) cols
-         | exception _ -> false) ->
+  | Plan.Cross _ -> Relation.cross (kid 0) (kid 1)
+  | Plan.Distinct (Plan.Project (cols, Plan.Join (pred, _, _))) when n.semi ->
     (* δ∘π∘⋈ keeping only left-side columns is an existential filter —
        a semi-join: each left row survives at most once, and the match
        pairs are never materialized. (A left column's output name is
        never claimed by the right side: clashing right columns are
        renamed.) *)
-    let ra = eval t env a and rb = eval t env b in
+    let join = n.kids.(0).kids.(0) in
+    let ra = eval t env join.kids.(0) and rb = eval t env join.kids.(1) in
     let keys, residual = promote_theta_eq ra rb pred in
     let extra = theta_extra ra rb residual in
     Relation.distinct
       (Relation.project cols (Relation.semi_join ?extra keys ra rb))
-  | Plan.Distinct q -> Relation.distinct (eval t env q)
-  | Plan.Union (a, b) -> Relation.union (eval t env a) (eval t env b)
-  | Plan.Difference (a, b) ->
-    Relation.difference (eval t env a) (eval t env b)
-  | Plan.Aggr (agg, spec, q) -> eval_aggr agg spec (eval t env q)
-  | Plan.Fun (prim, spec, q) ->
-    let rel = eval t env q in
+  | Plan.Distinct _ -> Relation.distinct (kid 0)
+  | Plan.Union _ -> Relation.union (kid 0) (kid 1)
+  | Plan.Difference _ -> Relation.difference (kid 0) (kid 1)
+  | Plan.Aggr (agg, spec, _) -> eval_aggr agg spec (kid 0)
+  | Plan.Fun (prim, spec, _) ->
+    let rel = kid 0 in
     let args =
-      List.map
-        (fun a -> (Relation.cols rel).(Relation.column_index rel a))
+      List.mapi
+        (fun i a -> (Relation.cols rel).(column_at rel a n.cols.(i)))
         spec.Plan.fun_args
     in
     Relation.append_col spec.Plan.fun_result
       (eval_fun_col prim args (Relation.cardinal rel))
       rel
-  | Plan.Tag (c, q) -> Relation.tag ~result:c (eval t env q)
-  | Plan.Row_num (spec, q) ->
+  | Plan.Tag (c, _) -> Relation.tag ~result:c (kid 0)
+  | Plan.Row_num (spec, _) ->
     Relation.number ~order:spec.Plan.num_order
-      ~partition:spec.Plan.num_partition ~result:spec.Plan.num_result
-      (eval t env q)
-  | Plan.Step (axis, test, col, q) -> eval_step (eval t env q) axis test col
-  | Plan.Id_join (ctx, arg) ->
-    eval_id_join t.registry (eval t env ctx) (eval t env arg)
+      ~partition:spec.Plan.num_partition ~result:spec.Plan.num_result (kid 0)
+  | Plan.Step (axis, test, col, _) ->
+    let rel = kid 0 in
+    eval_step rel axis test (column_at rel col n.cols.(0)) n.step_id
+  | Plan.Id_join _ -> eval_id_join t.registry (kid 0) (kid 1)
   | Plan.Construct (kind, _) ->
     err "the algebra engine does not construct nodes (ε:%s)" kind
-  | Plan.Template (_, q) -> eval t env q
-  | Plan.Iterate it -> eval t env it.Plan.it_result
-  | Plan.Mu f -> eval_mu t env ~delta:false f
-  | Plan.Mu_delta f -> eval_mu t env ~delta:true f
+  | Plan.Template _ | Plan.Iterate _ -> kid 0
+  | Plan.Mu f ->
+    eval_fix t env ~delta:false ~fix_id:f.Plan.fix_id ~seed:(kid 0) n.kids.(1)
+  | Plan.Mu_delta f ->
+    eval_fix t env ~delta:true ~fix_id:f.Plan.fix_id ~seed:(kid 0) n.kids.(1)
 
 (* µ (Naïve) and µ∆ (Delta) at the algebra level: Figure 3 lifted to
    relations. The seen-set has two modes: packed mode covers the
@@ -531,22 +648,22 @@ and eval_raw t env (p : Plan.t) : Relation.t =
    column kind packed keys can't represent (strings, doubles,
    width > 2), the accumulated runs replay once into the boxed row
    table and the loop continues there. *)
-and eval_mu t env ~delta (f : Plan.fix) =
+and eval_fix t env ~delta ~fix_id ~seed body =
   Stats.start_run t.stats;
-  let seed = Relation.distinct (eval t env f.seed) in
+  let seed = Relation.distinct seed in
   let schema_width = List.length (Relation.schema seed) in
   let record ~fed ~produced ~result_size =
     Stats.record_iteration t.stats ~fed ~produced ~result_size
   in
   let apply input =
-    (* Fresh volatile memo — the Fix_ref binding changed; loop-invariant
-       subplans keep their persistent entries across rounds. *)
+    (* Fresh volatile slots — the Fix_ref binding changed; loop-invariant
+       subplans keep their run and persistent entries across rounds. *)
     eval t
       { env with
-        fix = Imap.add f.fix_id input env.fix;
-        volatile = Phys.create 64;
-        dep_ids = f.fix_id :: env.dep_ids }
-      f.body
+        fix = Imap.add fix_id input env.fix;
+        volatile = Array.make env.memo.prog.size absent;
+        dep_ids = fix_id :: env.dep_ids }
+      body
   in
   let runs = ref [] in
   (* newest first *)
@@ -708,18 +825,19 @@ and eval_mu t env ~delta (f : Plan.fix) =
     loop fresh0 n0 1
   end
 
-type session = Relation.t Phys.t
+(* A top-level environment: nothing is iterated yet, so no slot is
+   volatile at this level. *)
+let top_env m bindings =
+  { fix =
+      List.fold_left (fun acc (id, rel) -> Imap.add id rel acc) Imap.empty
+        bindings;
+    volatile = [||]; memo = m; dep_ids = []; run_ids = List.map fst bindings }
 
-let new_session () : session = Phys.create 64
+let run_fix t m ~delta ~fix_id ~seed bindings =
+  eval_fix t (top_env m bindings) ~delta ~fix_id ~seed m.prog.root
 
-let run_with t ?session bindings p =
-  let fix =
-    List.fold_left (fun m (id, rel) -> Imap.add id rel m) Imap.empty bindings
-  in
-  let run = match session with Some s -> s | None -> new_session () in
-  eval t
-    { fix; volatile = Phys.create 64; run;
-      dep_ids = []; run_ids = List.map fst bindings }
-    p
+let run_with t bindings p =
+  let m = memo (lower p) in
+  eval t (top_env m bindings) m.prog.root
 
 let run t p = run_with t [] p

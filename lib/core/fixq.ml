@@ -44,11 +44,11 @@ let strategy_of_mode = function
 let now_ms () = Unix.gettimeofday () *. 1000.0
 
 (* The hybrid algebraic engine: the interpreter drives the query, every
-   IFP site is compiled once (plans are cached per body expression and
-   carry rebindable leaves for the scope variables) and executed as a
-   µ/µ∆ plan on a shared plan evaluator, so loop-invariant relations
-   persist across the many fixpoints of a query like the bidder
-   network. *)
+   IFP site is compiled once — compile, optimize, ∪ push-up verdict and
+   lowering to a slot program ({!Plan_eval.lower}), with rebindable
+   leaves for the scope variables — and executed as µ/µ∆ over that
+   program, so loop-invariant relations persist across the many
+   fixpoints of a query like the bidder network. *)
 module Expr_tbl = Hashtbl.Make (struct
   type t = Lang.Ast.expr
 
@@ -61,34 +61,111 @@ type compiled_site = {
   used_refs : (string * int) list;
       (** binding refs that actually occur in the plan *)
   push_distributive : bool;
-  mutable session : (Xdm.Item.seq list * Plan_eval.session) option;
-      (** last used-binding values (physical) and the session memo *)
+  program : Plan_eval.program;
 }
 
-let install_algebra_handler ~registry ~max_iterations ~stratified ~mode
+(* A site is a body expression of the program plus what its compilation
+   read besides: the names in scope and the stratified flag. Entries are
+   immutable and hold no document data, so one table can serve every run
+   of a program. *)
+type site_entry = {
+  body : Lang.Ast.expr;
+  names : string list;
+  site_stratified : bool;
+  outcome : (compiled_site, string) result;
+      (** [Error reason]: outside the compilable subset *)
+}
+
+(* Reads are lock-free; a miss compiles under the lock, re-checking
+   first, and publishes the extended list — so concurrent runs of one
+   prepared query compile each site exactly once. *)
+type sites = { entries : site_entry list Atomic.t; lock : Mutex.t }
+
+let create_sites () = { entries = Atomic.make []; lock = Mutex.create () }
+
+let compiles = Atomic.make 0
+
+let algebra_compiles () = Atomic.get compiles
+
+let compile_site ~functions ~stratified ~names (site : Eval.ifp_site) :
+    (compiled_site, string) result =
+  Atomic.incr compiles;
+  match
+    Compile.body ~functions ~recursion_var:site.Eval.ifp_var ~bindings:names
+      site.Eval.ifp_body
+  with
+  | exception Compile.Unsupported reason -> Error reason
+  | cs ->
+    let cs = { cs with Compile.body = Optimize.optimize cs.Compile.body } in
+    let push_distributive =
+      (Push.check ~stratified ~fix_id:cs.Compile.fix_id cs.Compile.body)
+        .Push.distributive
+    in
+    let program = Plan_eval.lower cs.Compile.body in
+    let used_refs =
+      List.filter
+        (fun (_, id) -> Plan_eval.mentions program id)
+        cs.Compile.binding_refs
+    in
+    Ok { cs; used_refs; push_distributive; program }
+
+let find_site sites ~stratified ~names body =
+  List.find_opt
+    (fun e ->
+      e.body == body && e.site_stratified = stratified && e.names = names)
+    (Atomic.get sites.entries)
+
+let site_outcome sites ~functions ~stratified (site : Eval.ifp_site) =
+  let names =
+    List.map fst site.Eval.ifp_bindings
+    @ if site.Eval.ifp_context <> None then [ "." ] else []
+  in
+  let body = site.Eval.ifp_body in
+  match find_site sites ~stratified ~names body with
+  | Some e -> e.outcome
+  | None ->
+    Mutex.protect sites.lock (fun () ->
+        match find_site sites ~stratified ~names body with
+        | Some e -> e.outcome
+        | None ->
+          let outcome = compile_site ~functions ~stratified ~names site in
+          Atomic.set sites.entries
+            ({ body; names; site_stratified = stratified; outcome }
+            :: Atomic.get sites.entries);
+          outcome)
+
+(* What one run keeps per compiled site: the slot memos, and the binding
+   values the run slots were computed for (compared physically). *)
+type site_run = {
+  memo : Plan_eval.memo;
+  mutable bound : Xdm.Item.seq list option;
+}
+
+let install_algebra_handler ~sites ~registry ~max_iterations ~stratified ~mode
     ~fallbacks ~used_delta ev =
   let pe =
     Plan_eval.create ~registry ~max_iterations ~stats:(Eval.stats ev) ()
   in
-  let cache : compiled_site Expr_tbl.t = Expr_tbl.create 8 in
-  let failed : string Expr_tbl.t = Expr_tbl.create 8 in
+  let runs : (compiled_site * site_run) list ref = ref [] in
+  (* fallback reasons already reported by this run *)
+  let reported : unit Expr_tbl.t = Expr_tbl.create 8 in
+  let fall_back body reason =
+    if not (Expr_tbl.mem reported body) then begin
+      fallbacks := reason :: !fallbacks;
+      Expr_tbl.replace reported body ()
+    end;
+    None
+  in
   Eval.set_ifp_handler ev
     (Some
        (fun (site : Eval.ifp_site) ->
-         if site.Eval.ifp_accum <> None then begin
+         if site.Eval.ifp_accum <> None then
            (* Annotated sites: Table-1 relations carry node identities,
               not semiring annotations — both engines run the
               interpreter's semiring kernel, keeping results equal. *)
-           if not (Expr_tbl.mem failed site.Eval.ifp_body) then begin
-             let reason =
-               "accumulate by: annotated fixpoints run on the \
-                interpreter's semiring kernel"
-             in
-             fallbacks := reason :: !fallbacks;
-             Expr_tbl.replace failed site.Eval.ifp_body reason
-           end;
-           None
-         end
+           fall_back site.Eval.ifp_body
+             "accumulate by: annotated fixpoints run on the interpreter's \
+              semiring kernel"
          else if
            (* Definition 2.1 restricts IFP to node()*; decline atom
               seeds so both engines raise the same dynamic error *)
@@ -96,46 +173,12 @@ let install_algebra_handler ~registry ~max_iterations ~stratified ~mode
              (function Xdm.Item.A _ -> true | Xdm.Item.N _ -> false)
              site.Eval.ifp_seed
          then None
-         else if Expr_tbl.mem failed site.Eval.ifp_body then None
          else
-           let compiled =
-             match Expr_tbl.find_opt cache site.Eval.ifp_body with
-             | Some c -> Some c
-             | None -> (
-               let names =
-                 List.map fst site.Eval.ifp_bindings
-                 @ (if site.Eval.ifp_context <> None then [ "." ] else [])
-               in
-               match
-                 Compile.body ~functions:(Eval.functions ev)
-                   ~recursion_var:site.Eval.ifp_var ~bindings:names
-                   site.Eval.ifp_body
-               with
-               | exception Compile.Unsupported reason ->
-                 fallbacks := reason :: !fallbacks;
-                 Expr_tbl.replace failed site.Eval.ifp_body reason;
-                 None
-               | cs ->
-                 let cs =
-                   { cs with Compile.body = Optimize.optimize cs.Compile.body }
-                 in
-                 let push_distributive =
-                   (Push.check ~stratified ~fix_id:cs.Compile.fix_id
-                      cs.Compile.body)
-                     .Push.distributive
-                 in
-                 let used_refs =
-                   List.filter
-                     (fun (_, id) -> Plan.contains_fix_ref id cs.Compile.body)
-                     cs.Compile.binding_refs
-                 in
-                 let c = { cs; used_refs; push_distributive; session = None } in
-                 Expr_tbl.replace cache site.Eval.ifp_body c;
-                 Some c)
-           in
-           match compiled with
-           | None -> None
-           | Some c ->
+           match
+             site_outcome sites ~functions:(Eval.functions ev) ~stratified site
+           with
+           | Error reason -> fall_back site.Eval.ifp_body reason
+           | Ok c ->
              let use_delta =
                match mode with
                | Naive -> false
@@ -143,12 +186,6 @@ let install_algebra_handler ~registry ~max_iterations ~stratified ~mode
                | Auto -> c.push_distributive
              in
              used_delta := Some use_delta;
-             let fix =
-               { Plan.fix_id = c.cs.Compile.fix_id;
-                 seed = Compile.seed_table site.Eval.ifp_seed;
-                 body = c.cs.Compile.body }
-             in
-             let plan = if use_delta then Plan.Mu_delta fix else Plan.Mu fix in
              let value_of (name, _) =
                if String.equal name "." then
                  match site.Eval.ifp_context with
@@ -164,18 +201,28 @@ let install_algebra_handler ~registry ~max_iterations ~stratified ~mode
                  (fun (_, id) items -> (id, Compile.items_relation items))
                  c.used_refs values
              in
-             let session =
-               match c.session with
-               | Some (prev, s)
-                 when List.length prev = List.length values
-                      && List.for_all2 ( == ) prev values ->
-                 s
-               | _ ->
-                 let s = Plan_eval.new_session () in
-                 c.session <- Some (values, s);
-                 s
+             let r =
+               match List.assq_opt c !runs with
+               | Some r -> r
+               | None ->
+                 let r = { memo = Plan_eval.memo c.program; bound = None } in
+                 runs := (c, r) :: !runs;
+                 r
              in
-             let rel = Plan_eval.run_with pe ~session bindings plan in
+             (match r.bound with
+             | Some prev
+               when List.length prev = List.length values
+                    && List.for_all2 ( == ) prev values ->
+               ()
+             | Some _ | None ->
+               Plan_eval.new_session r.memo;
+               r.bound <- Some values);
+             let rel =
+               Plan_eval.run_fix pe r.memo ~delta:use_delta
+                 ~fix_id:c.cs.Compile.fix_id
+                 ~seed:(Compile.items_relation site.Eval.ifp_seed)
+                 bindings
+             in
              Some (Compile.result_items rel)))
 
 (* The SQL:1999 engine: the interpreter drives the query; every IFP
@@ -313,7 +360,7 @@ let install_sql_handler ~mode ~fallbacks ~used_delta ev =
 
 let run_program ?(registry = Xdm.Doc_registry.default)
     ?(max_iterations = 1_000_000) ?(stratified = false) ?domains
-    ?chunk_threshold ?deadline ?round_hook ?max_call_depth ~engine p =
+    ?chunk_threshold ?deadline ?round_hook ?max_call_depth ?sites ~engine p =
   let fallbacks = ref [] in
   let used_delta = ref None in
   let ev =
@@ -328,8 +375,9 @@ let run_program ?(registry = Xdm.Doc_registry.default)
         Eval.create ~registry ~max_iterations ~stratified ?domains
           ?chunk_threshold ?max_call_depth ~strategy:(strategy_of_mode mode) ()
       in
-      install_algebra_handler ~registry ~max_iterations ~stratified ~mode
-        ~fallbacks ~used_delta ev;
+      let sites = match sites with Some s -> s | None -> create_sites () in
+      install_algebra_handler ~sites ~registry ~max_iterations ~stratified
+        ~mode ~fallbacks ~used_delta ev;
       ev
     | Sql mode ->
       let ev =

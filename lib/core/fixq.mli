@@ -93,7 +93,24 @@ val run :
   string ->
   report
 
-(** Run an already-parsed program. *)
+(** The algebra engine's compiled IFP sites of one program: per site
+    (body expression, names in scope, stratified flag), the optimized
+    plan, its ∪ push-up verdict and its lowered slot program — or the
+    reason the body is outside the compilable subset. Filled on first
+    use; thread-safe; holds no document data. A table belongs to one
+    program: its sites are keyed by the program's own body
+    expressions. *)
+type sites
+
+val create_sites : unit -> sites
+
+(** Process-wide count of algebra site compilations so far. *)
+val algebra_compiles : unit -> int
+
+(** Run an already-parsed program. [sites] (algebra engine only)
+    supplies the compiled-site table to use and fill, so repeated runs
+    of one program compile each IFP site once; by default every run
+    compiles into a fresh table. *)
 val run_program :
   ?registry:Xdm.Doc_registry.t ->
   ?max_iterations:int ->
@@ -103,6 +120,7 @@ val run_program :
   ?deadline:float ->
   ?round_hook:(unit -> unit) ->
   ?max_call_depth:int ->
+  ?sites:sites ->
   engine:engine ->
   Lang.Ast.program ->
   report

@@ -50,6 +50,7 @@ type t = {
   max_iterations : int;
   compiled_memo : compiled memo;
   estimate_memo : Estimate.t memo;
+  sites : Fixq.sites;
 }
 
 exception Rejected of { message : string; diagnostics : Diag.t list }
@@ -103,7 +104,8 @@ let prepare ~store ~stratified ~max_iterations source =
   { source; hash = hash_source source; program; spans; warnings; analysis;
     ifp_count; syntactic; interp_mode; stratified; generation;
     prepare_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
-    store; max_iterations; compiled_memo = memo (); estimate_memo = memo () }
+    store; max_iterations; compiled_memo = memo (); estimate_memo = memo ();
+    sites = Fixq.create_sites () }
 
 (* One plan capture (an evaluation of the program prefix up to the first
    IFP site); the ∪ push-up verdict and the SQL rendering both read that
@@ -158,8 +160,9 @@ let cost t =
    only on the query text, but the cost estimate reads the document
    synopses — so an entry served after a load-doc/patch-doc starts a
    fresh estimate memo, or admission and engine choice would act on the
-   document as it was when the estimate ran. The compiled memo is shared
-   with the superseded record: it is text-level too. *)
+   document as it was when the estimate ran. The compiled memo and the
+   algebra site table are shared with the superseded record: they are
+   text-level too. *)
 let refresh ~store t =
   let generation = Store.generation store in
   if t.generation = generation then t

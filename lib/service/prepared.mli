@@ -64,6 +64,9 @@ type t = {
   max_iterations : int;  (** bound on the plan capture's evaluation *)
   compiled_memo : compiled memo;
   estimate_memo : Fixq_cost.Estimate.t memo;
+  sites : Fixq.sites;
+      (** the algebra engine's compiled IFP sites of [program], filled
+          by the first algebra run and shared by every later one *)
 }
 
 (** Parse or static errors. [message] is the legacy one-line rendering;
@@ -89,9 +92,9 @@ val prepare :
     matches [t]'s; otherwise a copy with an empty estimate memo, so the
     next {!cost} re-runs the estimate against the current synopses.
     Admission or engine choice acting on a pre-[patch-doc] estimate
-    would mis-gate grown documents. The text-level parts and the
-    compiled memo (generation-independent) are shared with [t]; the
-    copy keeps no reference to [t] itself. *)
+    would mis-gate grown documents. The text-level parts, the compiled
+    memo and the site table (generation-independent) are shared with
+    [t]; the copy keeps no reference to [t] itself. *)
 val refresh : store:Store.t -> t -> t
 
 (** The compiled part, captured on first call (one evaluation of the

@@ -407,17 +407,21 @@ let handle_run t ~id
       | `Algebra -> Fixq.Algebra run_mode
       | `Sql -> Fixq.Sql run_mode
     in
-    let program =
+    (* A scatter leg runs a rewritten program, whose sites are not the
+       prepared entry's: it compiles into a table of its own. *)
+    let program, sites =
       match partition with
-      | None -> prepared.Prepared.program
+      | None -> (prepared.Prepared.program, Some prepared.Prepared.sites)
       | Some (index, count) ->
-        Fixq.partition_first_seed ~index ~count prepared.Prepared.program
+        ( Fixq.partition_first_seed ~index ~count prepared.Prepared.program,
+          None )
     in
     let report, footprint =
       Store.track t.store (fun () ->
           Governor.with_memory_budget t.governor (fun ~round_check ->
               Fixq.run_program ~registry:(Store.registry t.store)
                 ~max_iterations ~stratified ?deadline ~round_hook:round_check
+                ?sites
                 ?max_call_depth:
                   (Governor.config t.governor).Governor.max_call_depth
                 ~engine:fixq_engine program))
@@ -1133,6 +1137,7 @@ let prometheus_stats t =
       ("cache=\"results\"", Result_cache.misses t.results) ];
   counter "fixq_plan_captures_total" (Prepared.plan_captures ());
   counter "fixq_cost_estimates_total" (Prepared.cost_estimates ());
+  counter "fixq_algebra_compiles_total" (Fixq.algebra_compiles ());
   Buffer.add_string buf "# TYPE fixq_cache_entries gauge\n";
   List.iter
     (fun (label, v) ->
@@ -1227,6 +1232,7 @@ let handle_stats t ~id =
               ~capacity:(Lru.capacity t.prepared));
            ("plan_captures", Json.of_int (Prepared.plan_captures ()));
            ("cost_estimates", Json.of_int (Prepared.cost_estimates ()));
+           ("algebra_compiles", Json.of_int (Fixq.algebra_compiles ()));
            ("results",
             cache_stats_json ~hits:(Result_cache.hits t.results)
               ~misses:(Result_cache.misses t.results)

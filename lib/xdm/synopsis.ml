@@ -152,8 +152,12 @@ let patched t ~old_root ~op ~(delta : Patch.delta) =
   | Patch.Insert _ | Patch.Delete _ | Patch.Replace _ ->
     List.iter
       (fun (inserted : Node.t) ->
-        let key = child_key (parent_key inserted) (Node.name inserted) in
-        record t ~sign:1 key inserted)
+        let parent = parent_key inserted in
+        (* the edit parent gains a child name: [child_names] must stay a
+           sound over-approximation *)
+        if inserted.Node.kind = Node.Element then
+          Hashtbl.replace (entry t parent).kids (Node.name inserted) ();
+        record t ~sign:1 (child_key parent (Node.name inserted)) inserted)
       delta.Patch.inserted);
   refresh_fanout t delta.Patch.edit_parent;
   t

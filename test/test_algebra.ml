@@ -364,6 +364,67 @@ let test_body_roundtrip () =
   in
   check_int "direct prerequisites" 2 (Relation.cardinal out)
 
+(* Slot memos. A # (Tag) node shared by both inputs of a join must be
+   evaluated once per round — a second evaluation mints fresh tags that
+   match nothing — so each tag joins only with itself, and the µ∆
+   computes the closure over several rounds. Both join shapes are
+   covered: the plain ⋈ (a right-side column kept) and the δ∘π∘⋈
+   semi-join (left-side columns only). *)
+let test_shared_tag_once_per_round () =
+  let doc = Option.get (Doc_registry.find ~registry "small.xml") in
+  let fix_id = Plan.fresh_fix_id () in
+  let x = Plan.Fix_ref (fix_id, [ "iter"; "item" ]) in
+  let tagged = Plan.Tag ("t", Plan.Step (Axis.Child, Axis.Kind_node, "item", x)) in
+  let right = Plan.Project ([ ("t2", "t"); ("item2", "item") ], tagged) in
+  let join = Plan.Join ({ Plan.equi = [ ("t", "t2") ]; theta = [] }, tagged, right) in
+  let seed =
+    Plan.Lit_table ([ "iter"; "item" ], [ [| Value.Int 1; Value.Nd doc |] ])
+  in
+  List.iter
+    (fun (shape, item_col) ->
+      let body =
+        Plan.Distinct (Plan.Project ([ ("iter", "iter"); ("item", item_col) ], join))
+      in
+      let stats = Stats.create () in
+      let t = Plan_eval.create ~registry ~stats () in
+      let out = Plan_eval.run t (Plan.Mu_delta { Plan.fix_id; seed; body }) in
+      check_int (shape ^ ": every descendant reached") (Node.subtree_size doc - 1)
+        (Relation.cardinal out);
+      check (shape ^ ": over at least 2 rounds") true (Stats.depth stats >= 2))
+    [ ("join", "item2"); ("semi-join", "item") ]
+
+(* A µ nested inside a µ body: the inner fixpoint's rounds rebind its
+   own Fix_ref, so they need fresh volatile slots (a memo shared with
+   the outer round, or with the previous inner round, stops the inner
+   closure after one round), and the nested plan must agree with the
+   interpreter's nested IFP. *)
+let test_nested_mu () =
+  Doc_registry.register ~registry "deep.xml"
+    (Xml_parser.parse_string ~strip_whitespace:true
+       {|<r><a><a><a><a/></a></a><b/></a><a><b><a/></b></a></r>|});
+  let query =
+    {|with $x seeded by doc("deep.xml")/r
+      recurse (with $y seeded by $x/* recurse $y/*)|}
+  in
+  let expected = interp_expr query in
+  let outer = compile_body "x" "$x/*" and inner = compile_body "y" "$y/*" in
+  let root =
+    List.hd (Node.children (Option.get (Doc_registry.find ~registry "deep.xml")))
+  in
+  let plan =
+    Plan.Mu
+      { Plan.fix_id = outer.Compile.fix_id;
+        seed = Compile.seed_table [ Item.N root ];
+        body =
+          Plan.Mu
+            { Plan.fix_id = inner.Compile.fix_id; seed = outer.Compile.body;
+              body = inner.Compile.body } }
+  in
+  let got = Compile.result_items (Plan_eval.run (pe ()) plan) in
+  check "nested µ = interpreter" true (Item.set_equal expected got);
+  (* the inner closure takes three productive rounds to reach a4 *)
+  check_int "deepest nodes reached" 6 (List.length got)
+
 let test_push_q1 () =
   let c = compile_body "x" "$x/id(./prerequisites/pre_code)" in
   let o = Push.check ~fix_id:c.Compile.fix_id c.Compile.body in
@@ -656,7 +717,10 @@ let () =
           Alcotest.test_case "bound variables" `Quick test_compile_vars;
           Alcotest.test_case "unsupported constructs" `Quick
             test_compile_unsupported;
-          Alcotest.test_case "body roundtrip" `Quick test_body_roundtrip ] );
+          Alcotest.test_case "body roundtrip" `Quick test_body_roundtrip;
+          Alcotest.test_case "shared # once per round" `Quick
+            test_shared_tag_once_per_round;
+          Alcotest.test_case "nested µ" `Quick test_nested_mu ] );
       ( "push-up",
         [ Alcotest.test_case "Q1" `Quick test_push_q1;
           Alcotest.test_case "Q2 (Figure 9)" `Quick test_push_q2;

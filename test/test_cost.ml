@@ -93,10 +93,12 @@ let prop_round_bounds =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Synopsis maintenance: after a random sequence of patch-doc edits on
-   a generated document of any family, the store's maintained synopsis
-   must agree exactly (paths, attributes, texts, totals) with a fresh
-   build of the patched tree. *)
+(* Synopsis maintenance: the synopsis is built before a random sequence
+   of patch-doc edits on a generated document of any family; afterwards
+   the store's maintained synopsis must agree exactly (paths,
+   attributes, texts, totals) with a fresh build of the patched tree,
+   and its child names and fan-out bounds must cover the fresh
+   build's. *)
 
 let fragments =
   [| "<note>x</note>";
@@ -178,9 +180,29 @@ let prop_synopsis_exact =
           Store.synopsis store uri )
       with
       | Some root, Some maintained ->
-        if not (Synopsis.equal_counts maintained (Synopsis.build root)) then
+        let fresh = Synopsis.build root in
+        if not (Synopsis.equal_counts maintained fresh) then
           QCheck2.Test.fail_reportf
             "%s: maintained synopsis diverged after %d ops" kind nops;
+        (* [equal_counts] leaves out the over-approximations: child
+           names and fan-out bounds may only grow under edits, never
+           fall short of the patched tree's *)
+        Synopsis.fold_paths
+          (fun key _ () ->
+            let missing =
+              List.filter
+                (fun n -> not (List.mem n (Synopsis.child_names maintained key)))
+                (Synopsis.child_names fresh key)
+            in
+            if missing <> [] then
+              QCheck2.Test.fail_reportf
+                "%s: after %d ops, child names of %S lack %s" kind nops key
+                (String.concat "," missing);
+            if Synopsis.fanout maintained key < Synopsis.fanout fresh key then
+              QCheck2.Test.fail_reportf
+                "%s: after %d ops, fan-out bound of %S is %d < %d" kind nops
+                key (Synopsis.fanout maintained key) (Synopsis.fanout fresh key))
+          fresh ();
         true
       | _ ->
         QCheck2.Test.fail_reportf "%s: document or synopsis vanished" kind)

@@ -939,6 +939,46 @@ let test_prepared_refresh_retention () =
   if w > 2 * w0 then
     Alcotest.failf "refreshed entry reaches %d words, fresh one %d" w w0
 
+(* The algebra engine compiles each IFP site once per prepared entry and
+   keeps no plan-keyed state between runs: 200 cache-bypassing algebra
+   runs of the bidder network compile its site exactly once, and the
+   live heap after the first run stays flat. *)
+let test_algebra_compile_once_retention () =
+  let server = mk_server () in
+  checkb "generated ok" true
+    (ok
+       (send server
+          {|{"op":"load-doc","uri":"auction.xml","generate":"xmark","size":0.001,"seed":3}|}));
+  let run_line =
+    Json.to_string
+      (Json.Obj
+         [ ("op", Json.Str "run"); ("engine", Json.Str "algebra");
+           ("cache", Json.Bool false);
+           ("query", Json.Str Queries.bidder_network) ])
+  in
+  let compiles () =
+    Option.get
+      (Json.int_opt
+         (field "algebra_compiles" (field "stats" (send server {|{"op":"stats"}|}))))
+  in
+  let c0 = compiles () in
+  let first = send server run_line in
+  checkb "first run ok" true (ok first);
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let w0 = live () in
+  for _ = 1 to 200 do
+    let r = send server run_line in
+    if not (ok r) then Alcotest.fail "algebra run failed";
+    checks "same result" (sfield "result" first) (sfield "result" r)
+  done;
+  let grown = (live () - w0) * (Sys.word_size / 8) in
+  checki "one compile for 201 runs" 1 (compiles () - c0);
+  if grown >= 2 * 1024 * 1024 then
+    Alcotest.failf "live heap grew by %d bytes over 200 algebra runs" grown
+
 let () =
   Alcotest.run "service"
     [ ("json",
@@ -981,4 +1021,6 @@ let () =
          Alcotest.test_case "check diagnostics" `Quick
            test_server_check_diagnostics;
          Alcotest.test_case "cost refresh after patch" `Quick
-           test_server_cost_refresh ]) ]
+           test_server_cost_refresh;
+         Alcotest.test_case "algebra compile once, flat heap" `Quick
+           test_algebra_compile_once_retention ]) ]
