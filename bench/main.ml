@@ -154,7 +154,11 @@ let measure_row row =
           ("kernel_index_nodes", Json.of_int k.Counters.index_nodes);
           ("kernel_col_batches", Json.of_int k.Counters.col_batches);
           ("kernel_col_rows", Json.of_int k.Counters.col_rows);
-          ("kernel_col_boxed_rows", Json.of_int k.Counters.col_boxed_rows) ])
+          ("kernel_col_boxed_rows", Json.of_int k.Counters.col_boxed_rows);
+          ("kernel_value_index_builds",
+           Json.of_int k.Counters.value_index_builds);
+          ("kernel_value_index_probes",
+           Json.of_int k.Counters.value_index_probes) ])
     [ ("algebra-naive", an, kan); ("algebra-delta", ad, kad);
       ("interp-naive", inn, kin); ("interp-delta", ind, kid) ];
   { alg_naive_ms = an.Fixq.wall_ms;

@@ -476,7 +476,13 @@ let plan_of_first_ifp ?(registry = Xdm.Doc_registry.default)
          | exception Compile.Unsupported _ -> ()
          | { Compile.fix_id; body; _ } -> captured := Some (fix_id, body));
          raise Plan_captured));
-  (try ignore (Eval.run_program ev p) with _ -> ());
+  (* A program that fails before reaching an IFP has no plan to
+     capture; anything else (a governor's [Out_of_memory], a
+     [Stack_overflow]) belongs to the request. *)
+  (try ignore (Eval.run_program ev p) with
+  | Plan_captured | Eval.Error _ | Lang.Builtins.Error _
+  | Xdm.Atom.Type_error _ ->
+    ());
   !captured
 
 (* The SQL:1999 rendering of a captured IFP body (optimized first) —
@@ -487,68 +493,10 @@ let sql_of_plan (fix_id, plan) =
 let sql_of_first_ifp ?registry ?max_iterations p =
   Option.map sql_of_plan (plan_of_first_ifp ?registry ?max_iterations p)
 
-(* One canonical child enumeration for whole-program expression walks
-   (first-IFP lookup, IFP counting for the prepared-query layer, …). *)
-let subexprs (e : Lang.Ast.expr) : Lang.Ast.expr list =
-  match (e : Lang.Ast.expr) with
-  | Lang.Ast.Sequence (a, b)
-          | Lang.Ast.Union (a, b)
-          | Lang.Ast.Except (a, b)
-          | Lang.Ast.Intersect (a, b)
-          | Lang.Ast.Path (a, b)
-          | Lang.Ast.Filter (a, b)
-          | Lang.Ast.Arith (_, a, b)
-          | Lang.Ast.Gen_cmp (_, a, b)
-          | Lang.Ast.Val_cmp (_, a, b)
-          | Lang.Ast.Node_is (a, b)
-          | Lang.Ast.Node_before (a, b)
-          | Lang.Ast.Node_after (a, b)
-          | Lang.Ast.And (a, b)
-          | Lang.Ast.Or (a, b)
-          | Lang.Ast.Range (a, b) ->
-            [ a; b ]
-          | Lang.Ast.Neg a
-          | Lang.Ast.Text_constr a
-          | Lang.Ast.Attr_constr (_, a)
-          | Lang.Ast.Comment_constr a
-          | Lang.Ast.Doc_constr a
-          | Lang.Ast.Comp_elem (_, a)
-          | Lang.Ast.Instance_of (a, _)
-          | Lang.Ast.Cast (a, _, _)
-          | Lang.Ast.Castable (a, _, _) ->
-            [ a ]
-          | Lang.Ast.For { source; body; _ } -> [ source; body ]
-          | Lang.Ast.Sort { source; key; body; _ } -> [ source; key; body ]
-          | Lang.Ast.Let { value; body; _ } -> [ value; body ]
-          | Lang.Ast.If (a, b, c) -> [ a; b; c ]
-          | Lang.Ast.Quantified (_, _, a, b) -> [ a; b ]
-          | Lang.Ast.Call (_, args) -> args
-          | Lang.Ast.Elem_constr (_, attrs, content) ->
-            List.concat_map
-              (fun (_, pieces) ->
-                List.filter_map
-                  (function
-                    | Lang.Ast.A_lit _ -> None
-                    | Lang.Ast.A_expr e -> Some e)
-                  pieces)
-              attrs
-            @ content
-          | Lang.Ast.Typeswitch (s, cases, _, d) ->
-            (s :: List.map (fun (_, _, b) -> b) cases) @ [ d ]
-  | Lang.Ast.Ifp { seed; body; accum; _ } -> (
-    seed :: body
-    ::
-    (match accum with
-    | Some { Lang.Ast.weight = Some w; _ } -> [ w ]
-    | _ -> []))
-  | Lang.Ast.Literal _ | Lang.Ast.Empty_seq | Lang.Ast.Var _
-  | Lang.Ast.Context_item | Lang.Ast.Root | Lang.Ast.Axis_step _ ->
-    []
-
 let iter_exprs f (p : Lang.Ast.program) =
   let rec go e =
     f e;
-    List.iter go (subexprs e)
+    List.iter go (Lang.Ast.subexprs e)
   in
   go p.Lang.Ast.main;
   List.iter (fun fd -> go fd.Lang.Ast.body) p.Lang.Ast.functions
@@ -569,7 +517,7 @@ let doc_uris (p : Lang.Ast.program) =
   in
   let rec go e =
     visit e;
-    List.iter go (subexprs e)
+    List.iter go (Lang.Ast.subexprs e)
   in
   go p.Lang.Ast.main;
   List.iter (fun fd -> go fd.Lang.Ast.body) p.Lang.Ast.functions;

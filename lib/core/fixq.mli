@@ -182,7 +182,9 @@ val distributivity_verdicts :
     plan inspection à la Figure 9). Returns the fix-ref id and plan.
     Free variables and context of the body are materialized by
     evaluating the surrounding program as far as needed — bounded by
-    [max_iterations] so preparing a divergent query terminates. *)
+    [max_iterations] so preparing a divergent query terminates. A
+    dynamic error before the first IFP yields [None]; other exceptions
+    ([Out_of_memory], [Stack_overflow]) propagate. *)
 val plan_of_first_ifp :
   ?registry:Xdm.Doc_registry.t ->
   ?max_iterations:int ->

@@ -340,6 +340,50 @@ let rec calls_position_or_last = function
        | Some { weight = Some w; _ } -> calls_position_or_last w
        | _ -> false)
 
+(** The immediate subexpressions of [e], binders ignored: the one
+    canonical child enumeration for whole-expression walks. *)
+let subexprs = function
+  | Sequence (a, b)
+  | Union (a, b)
+  | Except (a, b)
+  | Intersect (a, b)
+  | Path (a, b)
+  | Filter (a, b)
+  | Arith (_, a, b)
+  | Gen_cmp (_, a, b)
+  | Val_cmp (_, a, b)
+  | Node_is (a, b)
+  | Node_before (a, b)
+  | Node_after (a, b)
+  | And (a, b)
+  | Or (a, b)
+  | Range (a, b) ->
+    [ a; b ]
+  | Neg a | Text_constr a | Attr_constr (_, a) | Comment_constr a
+  | Doc_constr a | Comp_elem (_, a) | Instance_of (a, _) | Cast (a, _, _)
+  | Castable (a, _, _) ->
+    [ a ]
+  | For { source; body; _ } -> [ source; body ]
+  | Sort { source; key; body; _ } -> [ source; key; body ]
+  | Let { value; body; _ } -> [ value; body ]
+  | If (a, b, c) -> [ a; b; c ]
+  | Quantified (_, _, a, b) -> [ a; b ]
+  | Call (_, args) -> args
+  | Elem_constr (_, attrs, content) ->
+    List.concat_map
+      (fun (_, pieces) ->
+        List.filter_map
+          (function A_lit _ -> None | A_expr e -> Some e)
+          pieces)
+      attrs
+    @ content
+  | Typeswitch (s, cases, _, d) ->
+    (s :: List.map (fun (_, _, b) -> b) cases) @ [ d ]
+  | Ifp { seed; body; accum; _ } -> (
+    seed :: body
+    :: (match accum with Some { weight = Some w; _ } -> [ w ] | _ -> []))
+  | Literal _ | Empty_seq | Var _ | Context_item | Root | Axis_step _ -> []
+
 (** Capture-avoiding-enough substitution [e1\[e2/$x\]] — the paper's
     [e1(e2)]. Inner rebindings of [$x] shadow as expected; we do not
     rename other binders, so callers must ensure [e2]'s free variables

@@ -551,4 +551,15 @@ let call ctx name args =
   | None -> None
 
 let is_builtin name = Hashtbl.mem table name
+
+(* The zero-argument forms default to the context item (position()
+   and last() read its position and size); one-argument id/idref take
+   their document from the context node. *)
+let reads_context name arity =
+  match (name, arity) with
+  | (("true" | "false"), 0) -> false
+  | (_, 0) -> is_builtin name
+  | (("id" | "idref"), 1) -> true
+  | _ -> false
+
 let names () = Hashtbl.fold (fun k _ acc -> k :: acc) table [] |> List.sort compare

@@ -21,5 +21,9 @@ val call : ctx -> string -> Fixq_xdm.Item.seq list -> Fixq_xdm.Item.seq option
 
 val is_builtin : string -> bool
 
+(** [reads_context name arity]: does the built-in [name], called with
+    [arity] arguments, read the context item, position or size? *)
+val reads_context : string -> int -> bool
+
 (** All built-in names (for documentation and tests). *)
 val names : unit -> string list

@@ -3,6 +3,7 @@ module Atom = Fixq_xdm.Atom
 module Node = Fixq_xdm.Node
 module Axis = Fixq_xdm.Axis
 module Doc_registry = Fixq_xdm.Doc_registry
+module Counters = Fixq_xdm.Counters
 module Smap = Map.Make (String)
 open Ast
 
@@ -24,6 +25,22 @@ type ifp_site = {
   ifp_context : Item.t option;
 }
 
+(* The per-run value index of one [axis::test[K = P]] filter site at
+   one context node (see [eval_indexed_filter]). *)
+type value_index =
+  | Seen  (** evaluated once, by the scan *)
+  | Unusable  (** a key atom was not a string, or the build raised *)
+  | Built of Item.t array * (string, int) Hashtbl.t
+      (** the step's candidates, and each key string → their positions *)
+
+type index_site = {
+  step : Ast.axis_step;
+  pred : Ast.expr;  (** compared physically *)
+  key : Ast.expr;
+  probe : Ast.expr;
+  mutable index : value_index;
+}
+
 type t = {
   functions : (string, fundef) Hashtbl.t;
   registry : Doc_registry.t;
@@ -40,6 +57,8 @@ type t = {
   stratified : bool;
   domains : int option;  (** Some d: run Delta rounds on d domains *)
   chunk_threshold : int;
+  value_indexes : (int, index_site list) Hashtbl.t;
+      (** by context node id; lives and dies with this evaluator *)
 }
 
 type env = {
@@ -54,7 +73,7 @@ let create ?(registry = Doc_registry.default) ?(strategy = Auto)
   { functions = Hashtbl.create 16; registry; stats = Stats.create ();
     strategy; max_iterations; max_call_depth; globals = Smap.empty;
     last_ifp_used_delta = None; last_annotations = None; ifp_handler = None;
-    stratified; domains; chunk_threshold }
+    stratified; domains; chunk_threshold; value_indexes = Hashtbl.create 8 }
 
 let set_ifp_handler t h = t.ifp_handler <- h
 
@@ -176,6 +195,42 @@ let cmp_result c ord =
   | Le -> ord <= 0
   | Gt -> ord > 0
   | Ge -> ord >= 0
+
+(* ------------------------------------------------------------------ *)
+(* Value-index eligibility                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Evaluating a pure expression once or many times is unobservable: it
+   constructs no nodes, runs no fixpoint, calls no user function, and
+   does not ask for its position in the focus. *)
+let rec pure e =
+  (match e with
+  | Ifp _ | Elem_constr _ | Comp_elem _ | Text_constr _ | Attr_constr _
+  | Comment_constr _ | Doc_constr _
+  | Call (("position" | "last"), _) ->
+    false
+  | Call (f, _) -> Builtins.is_builtin f
+  | _ -> true)
+  && List.for_all pure (Ast.subexprs e)
+
+(* Does [e] read the focus it is evaluated under? Path steps and filter
+   predicates get their focus from the left operand. *)
+let rec reads_focus = function
+  | Context_item | Root | Axis_step _ -> true
+  | Path (a, _) | Filter (a, _) -> reads_focus a
+  | Call (f, args) ->
+    Builtins.reads_context f (List.length args) || List.exists reads_focus args
+  | e -> List.exists reads_focus (Ast.subexprs e)
+
+(* Split the operands of a [step[l = r]] predicate into (key, probe):
+   the key's value depends on the candidate alone (pure, no free
+   variables), the probe's not at all (pure, focus-free). *)
+let index_operands l r =
+  let key k = pure k && Hashtbl.length (Ast.free_vars k) = 0 in
+  let probe p = pure p && not (reads_focus p) in
+  if key l && probe r then Some (l, r)
+  else if key r && probe l then Some (r, l)
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* Node construction                                                   *)
@@ -501,6 +556,15 @@ and eval_path_steps t env a b =
   else err "a path step mixes nodes and atomic values"
 
 and eval_filter t env a p =
+  match (a, p, env.ctx) with
+  | (Axis_step step, Gen_cmp (Eq, l, r), Some (Item.N n, _, _))
+    when t.domains = None ->
+    (* Parallel Delta rounds evaluate filters on several domains: the
+       index table is not shared across them. *)
+    eval_indexed_filter t env step p l r n
+  | _ -> eval_filter_scan t env a p
+
+and eval_filter_scan t env a p =
   let src = eval t env a in
   let size = List.length src in
   let keep i it =
@@ -512,6 +576,73 @@ and eval_filter t env a p =
     | _ -> Item.effective_boolean pv
   in
   List.filteri keep src
+
+(* [axis::test[K = P]] with an indexable key K and probe P (see
+   [index_operands]). The first evaluation at a context node only
+   records the site — a filter run once, like a query's seed, never
+   pays for an index. The second builds a table from each candidate's
+   key strings to its positions; it and every later one evaluate P
+   once and look its atoms up instead of rescanning the candidates.
+   Strings compare by [String.equal] under [Gen_cmp]; any other atom
+   sends the site (key side) or the call (probe side) down the scan,
+   which keeps every result and error of the scan. *)
+and eval_indexed_filter t env step pred l r n =
+  let scan () = eval_filter_scan t env (Axis_step step) pred in
+  let sites =
+    Option.value ~default:[] (Hashtbl.find_opt t.value_indexes n.Node.id)
+  in
+  match
+    List.find_opt
+      (fun s -> s.pred == pred && equal_axis_step s.step step)
+      sites
+  with
+  | None ->
+    (match index_operands l r with
+    | Some (key, probe) ->
+      Hashtbl.replace t.value_indexes n.Node.id
+        ({ step; pred; key; probe; index = Seen } :: sites)
+    | None -> ());
+    scan ()
+  | Some site -> (
+    (match site.index with
+    | Seen -> site.index <- build_value_index t env site
+    | Unusable | Built _ -> ());
+    match site.index with
+    | Built (cands, _) when Array.length cands = 0 -> []
+    | Built (cands, table) -> (
+      let env' = { env with ctx = Some (cands.(0), 1, Array.length cands) } in
+      let probes = Item.atomize (eval t env' site.probe) in
+      match
+        List.concat_map
+          (function
+            | Atom.Str s -> Hashtbl.find_all table s
+            | _ -> raise_notrace Exit)
+          probes
+      with
+      | positions ->
+        incr Counters.value_index_probes;
+        List.map (fun i -> cands.(i)) (List.sort_uniq Int.compare positions)
+      | exception Exit -> scan ())
+    | Seen | Unusable -> scan ())
+
+(* A dynamic error while keying the candidates leaves the site to the
+   scan, which raises it again in the scan's own order. *)
+and build_value_index t env site =
+  let cands = Array.of_list (eval t env (Axis_step site.step)) in
+  let size = Array.length cands in
+  let table = Hashtbl.create size in
+  let add_keys i it =
+    let env' = { env with ctx = Some (it, i + 1, size) } in
+    List.iter
+      (function Atom.Str s -> Hashtbl.add table s i | _ -> raise_notrace Exit)
+      (Item.atomize (eval t env' site.key))
+  in
+  match Array.iteri add_keys cands with
+  | () ->
+    incr Counters.value_index_builds;
+    Built (cands, table)
+  | exception (Exit | Error _ | Builtins.Error _ | Atom.Type_error _) ->
+    Unusable
 
 and eval_call t env f args =
   let vargs = List.map (eval t env) args in

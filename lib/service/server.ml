@@ -1083,7 +1083,9 @@ let kernel_counter_rows () =
     ("index_nodes", c.Xdm.Counters.index_nodes);
     ("col_batches", c.Xdm.Counters.col_batches);
     ("col_rows", c.Xdm.Counters.col_rows);
-    ("col_boxed_rows", c.Xdm.Counters.col_boxed_rows) ]
+    ("col_boxed_rows", c.Xdm.Counters.col_boxed_rows);
+    ("value_index_builds", c.Xdm.Counters.value_index_builds);
+    ("value_index_probes", c.Xdm.Counters.value_index_probes) ]
 
 (* Prometheus text exposition of the same counters the JSON stats
    report: cache hit/miss/size, registry generation, uptime, and the
@@ -1469,7 +1471,9 @@ module Pool = struct
       let job = Queue.pop p.jobs in
       p.active <- p.active + 1;
       Mutex.unlock p.lock;
-      (try job () with _ -> ());
+      (try job ()
+       with e ->
+         Printf.eprintf "fixq: worker job raised %s\n%!" (Printexc.to_string e));
       Mutex.lock p.lock;
       p.active <- p.active - 1;
       if Queue.is_empty p.jobs && p.active = 0 then Condition.broadcast p.idle;

@@ -1,5 +1,6 @@
 (** Process-wide kernel counters for the set kernels of {!Item},
-    {!Accumulator} and the index-assisted steps of {!Axis}.
+    {!Accumulator}, the index-assisted steps of {!Axis} and the
+    evaluator's per-run value index for equality filters.
 
     These sit below the language layer (which owns {!Fixq_lang.Stats}),
     so they are plain global counters the stats layer snapshots around
@@ -19,6 +20,9 @@ type snapshot = {
   col_batches : int;  (** columnar batch-kernel invocations (algebra) *)
   col_rows : int;  (** rows flowing through columnar batch kernels *)
   col_boxed_rows : int;  (** … of which fell back to boxed row-at-a-time *)
+  value_index_builds : int;
+      (** equality-filter value indexes built (interpreter) *)
+  value_index_probes : int;  (** filter evaluations answered from one *)
 }
 
 val merges : int ref
@@ -31,6 +35,8 @@ val index_nodes : int ref
 val col_batches : int ref
 val col_rows : int ref
 val col_boxed_rows : int ref
+val value_index_builds : int ref
+val value_index_probes : int ref
 
 val snapshot : unit -> snapshot
 val zero : snapshot

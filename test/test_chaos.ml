@@ -255,6 +255,22 @@ let test_server_handle_chaos_faults () =
   let j = request server (run_line closure_query) in
   checkb "healthy afterwards" true (ok j)
 
+(* Plan capture runs the program up to its first IFP. A dynamic error
+   on the way means "no plan"; an Out_of_memory (here from the
+   filesystem read of an unregistered document) is the request's and
+   must reach its boundary. *)
+let test_plan_capture_lets_oom_through () =
+  let p =
+    Fixq_lang.Parser.parse_program
+      {|with $x seeded by doc("fixq-chaos-absent.xml")/r recurse $x/*|}
+  in
+  checkb "dynamic error: no plan" true
+    (Option.is_none (Fixq.plan_of_first_ifp p));
+  with_chaos "store.read=oom" (fun () ->
+      match Fixq.plan_of_first_ifp p with
+      | _ -> Alcotest.fail "Out_of_memory swallowed by plan capture"
+      | exception Out_of_memory -> ())
+
 (* ------------------------------------------------------------------ *)
 (* Protocol fuzz                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -437,7 +453,9 @@ let () =
          Alcotest.test_case "shed with retry_after hint" `Quick
            test_server_sheds_with_retry_hint;
          Alcotest.test_case "handle-point faults answered" `Quick
-           test_server_handle_chaos_faults ]);
+           test_server_handle_chaos_faults;
+         Alcotest.test_case "plan capture lets oom through" `Quick
+           test_plan_capture_lets_oom_through ]);
       ("fuzz",
        [ Alcotest.test_case "server survives mutated frames" `Quick
            test_fuzz_server;

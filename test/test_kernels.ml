@@ -3,7 +3,9 @@
    Accumulator, and the name-indexed descendant steps in Axis — each
    checked against a straightforward list-based reference on randomized
    node multisets drawn from several documents. Plus regression tests
-   for the Atom_set set-equality path (quadratic before PR 3). *)
+   for the Atom_set set-equality path (quadratic before PR 3), and
+   parity of the interpreter's per-run value index for [step[K = P]]
+   filters with the plain predicate scan. *)
 
 module Node = Fixq_xdm.Node
 module Atom = Fixq_xdm.Atom
@@ -226,6 +228,170 @@ let test_atom_set_crossover () =
        (s [ Atom.Str "x"; Atom.Int 2 ]))
 
 (* ------------------------------------------------------------------ *)
+(* Value index for [step[K = P]] filters                               *)
+(* ------------------------------------------------------------------ *)
+
+module Eval = Fixq_lang.Eval
+module Doc_registry = Fixq_xdm.Doc_registry
+module Serializer = Fixq_xdm.Serializer
+module W = Fixq_workloads
+
+(* String values that are equal as numbers but not as strings, the
+   empty string, and a value no number converts from. *)
+let key_values = [| "1"; "01"; "1.0"; ""; " 1"; "a" |]
+
+let vi_keys =
+  [| "@k"; "v"; "."; "@n"; "number(@k)";
+     "string(@k cast as xs:integer?)" |]
+
+let vi_probes =
+  [| {|"1"|}; {|"01"|}; {|""|}; "1"; "1.0"; "()"; {|("1", "a")|}; "$p" |]
+
+let vi_paths = [| {|doc("t.xml")/r/e|}; {|doc("t.xml")//e|} |]
+
+(* Elements [e] with a position [@n], an optional key attribute [@k]
+   and any number of [v] children (an empty [v] keys as ""). *)
+let vi_doc elems =
+  Node.of_spec
+    (Node.E
+       ( "r", [],
+         List.mapi
+           (fun i (k, vs) ->
+             Node.E
+               ( "e",
+                 ("n", string_of_int i)
+                 :: (match k with Some k -> [ ("k", k) ] | None -> []),
+                 List.map
+                   (fun v -> Node.E ("v", [], if v = "" then [] else [ Node.T v ]))
+                   vs ))
+           elems ))
+
+(* Every filter runs 15 times at one context node: once by the scan,
+   then from the index. The [count] sees the filter's own result, which
+   no path step sorts or deduplicates. *)
+let vi_query ~path ~pred =
+  Printf.sprintf
+    {|for $i in 1 to 3 return
+      for $p in ("1", "01", "1.0", "", "a") return
+        (string-join(for $e in %s[%s] return string($e/@n), ","),
+         doc("t.xml")/r/count(e[%s]))|}
+    path pred pred
+
+let vi_outcome registry q =
+  match Eval.run_string (Eval.create ~registry ()) q with
+  | r -> Ok (Serializer.seq_to_string r)
+  | exception (Eval.Error m | Fixq_lang.Builtins.Error m | Atom.Type_error m)
+    ->
+    Error m
+
+let vi_case_gen =
+  let open QCheck2.Gen in
+  let value = oneofa key_values in
+  let elem = pair (opt value) (list_size (int_bound 3) value) in
+  tup5
+    (list_size (int_bound 6) elem)
+    (int_bound (Array.length vi_keys - 1))
+    (int_bound (Array.length vi_probes - 1))
+    bool
+    (int_bound (Array.length vi_paths - 1))
+
+let vi_print (elems, ki, pi, flip, path) =
+  Printf.sprintf "key %s, probe %s, flip %b, path %s, doc %s" vi_keys.(ki)
+    vi_probes.(pi) flip vi_paths.(path)
+    (Serializer.seq_to_string [ Item.node (vi_doc elems) ])
+
+let prop_value_index_parity =
+  QCheck2.Test.make ~count:300 ~name:"value index = predicate scan"
+    ~print:vi_print vi_case_gen
+    (fun (elems, ki, pi, flip, path) ->
+      let registry = Doc_registry.create () in
+      Doc_registry.register ~registry "t.xml" (vi_doc elems);
+      let k = vi_keys.(ki) and p = vi_probes.(pi) in
+      let cmp = if flip then p ^ " = " ^ k else k ^ " = " ^ p in
+      let path = vi_paths.(path) in
+      (* [(K = P) and true()] is not an equality predicate: the scan *)
+      vi_outcome registry (vi_query ~path ~pred:cmp)
+      = vi_outcome registry
+          (vi_query ~path ~pred:(Printf.sprintf "(%s) and true()" cmp)))
+
+let builds () = (Counters.snapshot ()).Counters.value_index_builds
+
+let parse_main src = (Fixq_lang.Parser.parse_program src).Fixq_lang.Ast.main
+
+(* The index builds on a filter's second evaluation, so a key that
+   fails there failed the first time too — unless the registry moved
+   in between. The build must then leave the site to the scan, whose
+   first error (the probe's, at the first candidate) is the one to
+   report, not the key's at the second candidate. *)
+let test_value_index_build_error () =
+  let registry = Doc_registry.create () in
+  Doc_registry.register ~registry "t.xml"
+    (Node.of_spec
+       (Node.E
+          ( "r", [],
+            [ Node.E ("e", [ ("k", "1") ], []);
+              Node.E ("e", [ ("k", "x") ], []) ] )));
+  Doc_registry.register ~registry "aux.xml"
+    (Node.of_spec (Node.E ("a", [], [ Node.T "x" ])));
+  let src =
+    {|doc("t.xml")/r/e[(if (@k = "x") then string(doc("aux.xml")/a)
+                      else string(@k))
+                     = string($s cast as xs:integer)]|}
+  in
+  let filter = parse_main src in
+  let ev = Eval.create ~registry () in
+  let eval s =
+    match Eval.eval_expr ev ~vars:[ ("s", [ Item.A (Atom.Str s) ]) ] filter with
+    | r -> Ok (List.length r)
+    | exception (Eval.Error m | Fixq_lang.Builtins.Error m | Atom.Type_error m)
+      ->
+      Error m
+  in
+  check "first evaluation scans" true (eval "1" = Ok 1);
+  Doc_registry.unregister ~registry "aux.xml";
+  let before = builds () in
+  let got = eval "z" in
+  Alcotest.(check int) "no index built" 0 (builds () - before);
+  let scan =
+    match
+      Eval.eval_expr (Eval.create ~registry ())
+        ~vars:[ ("s", [ Item.A (Atom.Str "z") ]) ]
+        filter
+    with
+    | _ -> Ok 0
+    | exception Atom.Type_error m -> Error m
+  in
+  check "the scan's error" true (got = scan);
+  check "the probe's message" true
+    (got = Error {|cannot convert "z" to a number|})
+
+let test_value_index_single_use () =
+  let registry = Doc_registry.create () in
+  ignore (W.Curriculum.load ~registry { W.Curriculum.default with courses = 60 });
+  let before = builds () in
+  ignore (Eval.run_string (Eval.create ~registry ()) W.Queries.q1);
+  Alcotest.(check int) "Q1's seed filter builds nothing" 0 (builds () - before)
+
+let test_value_index_bidder () =
+  let registry = Doc_registry.create () in
+  ignore (W.Xmark.load ~registry { W.Xmark.default with scale = 0.002 });
+  let run ?domains () =
+    let before = Counters.snapshot () in
+    let r =
+      Eval.run_string (Eval.create ~registry ?domains ()) W.Queries.bidder_network
+    in
+    (Serializer.seq_to_string r, Counters.diff (Counters.snapshot ()) before)
+  in
+  let (bytes, k) = run () in
+  check "bidder_network builds an index" true (k.Counters.value_index_builds >= 1);
+  check "… and answers from it" true (k.Counters.value_index_probes > 0);
+  (* parallel Delta rounds bypass the table; results stay identical *)
+  let (bytes_par, k_par) = run ~domains:2 () in
+  Alcotest.(check int) "no index under domains" 0
+    k_par.Counters.value_index_builds;
+  Alcotest.(check string) "same bytes under domains" bytes bytes_par
+
+(* ------------------------------------------------------------------ *)
 
 let qc = List.map QCheck_alcotest.to_alcotest
 
@@ -236,11 +402,19 @@ let () =
           [ prop_kernels_match_reference;
             prop_doc_order;
             prop_accumulator;
-            prop_indexed_step ] );
+            prop_indexed_step;
+            prop_value_index_parity ] );
       ( "units",
         [ Alcotest.test_case "atom type errors" `Quick test_atom_type_errors;
           Alcotest.test_case "index counters" `Quick test_index_counters;
           Alcotest.test_case "atom set 10k regression" `Quick
             test_atom_set_scale;
           Alcotest.test_case "atom set numeric crossover" `Quick
-            test_atom_set_crossover ] ) ]
+            test_atom_set_crossover ] );
+      ( "value index",
+        [ Alcotest.test_case "build error keeps the scan's error" `Quick
+            test_value_index_build_error;
+          Alcotest.test_case "single-use filter builds none" `Quick
+            test_value_index_single_use;
+          Alcotest.test_case "bidder_network builds" `Quick
+            test_value_index_bidder ] ) ]
