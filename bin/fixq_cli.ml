@@ -164,20 +164,6 @@ let stratified_arg =
   in
   Arg.(value & flag & info [ "stratified" ] ~doc)
 
-let domains_arg =
-  let doc =
-    "Run Delta-eligible interpreter fixpoints on N OCaml domains \
-     (Section 7 parallel Delta). Default: sequential."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let chunk_threshold_arg =
-  let doc =
-    "With --domains: rounds feeding fewer than N items stay sequential \
-     (spawning domains costs more than small rounds save)."
-  in
-  Arg.(value & opt int 64 & info [ "chunk-threshold" ] ~docv:"N" ~doc)
-
 let to_engine engine mode =
   match engine with
   | `Interp -> Fixq.Interpreter mode
@@ -206,8 +192,7 @@ let engine_name = function
 (* ------------------------------------------------------------------ *)
 
 let run_cmd =
-  let action file expr docs patches engine mode stats stratified domains
-      chunk_threshold =
+  let action file expr docs patches engine mode stats stratified =
     let registry = Xdm.Doc_registry.create () in
     load_docs registry docs;
     apply_patches registry patches;
@@ -217,8 +202,7 @@ let run_cmd =
     if auto && stats then
       Printf.eprintf "engine chosen: %s\n" (engine_name engine);
     match
-      Fixq.run ~registry ~stratified ?domains ~chunk_threshold
-        ~engine:(to_engine engine mode) src
+      Fixq.run ~registry ~stratified ~engine:(to_engine engine mode) src
     with
     | report ->
       print_endline (Xdm.Serializer.seq_to_string report.Fixq.result);
@@ -246,8 +230,7 @@ let run_cmd =
   in
   let term =
     Term.(const action $ file_arg $ expr_arg $ docs_arg $ patch_arg
-          $ engine_arg $ mode_arg $ stats_arg $ stratified_arg $ domains_arg
-          $ chunk_threshold_arg)
+          $ engine_arg $ mode_arg $ stats_arg $ stratified_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Evaluate a query.") term
 

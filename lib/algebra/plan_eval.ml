@@ -6,6 +6,7 @@ module Doc_registry = Fixq_xdm.Doc_registry
 module Encoding = Fixq_store.Encoding
 module Staircase = Fixq_store.Staircase
 module Stats = Fixq_lang.Stats
+module Fixpoint = Fixq_lang.Fixpoint
 
 exception Error of string
 
@@ -641,20 +642,16 @@ and eval_raw t env n : Relation.t =
   | Plan.Mu_delta f ->
     eval_fix t env ~delta:true ~fix_id:f.Plan.fix_id ~seed:(kid 0) n.kids.(1)
 
-(* µ (Naïve) and µ∆ (Delta) at the algebra level: Figure 3 lifted to
-   relations. The seen-set has two modes: packed mode covers the
-   dominant [iter|item] shapes (int iters, node or int items) with two
-   unboxed probes into an off-heap pair set; if a round produces a
-   column kind packed keys can't represent (strings, doubles,
-   width > 2), the accumulated runs replay once into the boxed row
-   table and the loop continues there. *)
+(* µ (Naïve) and µ∆ (Delta) at the algebra level: the relation instance
+   of the fixpoint kernel, Figure 3 lifted to relations. The seen-set
+   has two modes: packed mode covers the dominant [iter|item] shapes
+   (int iters, node or int items) with two unboxed probes into an
+   off-heap pair set; if a round produces a column kind packed keys
+   can't represent (strings, doubles, width > 2), the accumulated runs
+   replay once into the boxed row table and the loop continues there. *)
 and eval_fix t env ~delta ~fix_id ~seed body =
-  Stats.start_run t.stats;
   let seed = Relation.distinct seed in
   let schema_width = List.length (Relation.schema seed) in
-  let record ~fed ~produced ~result_size =
-    Stats.record_iteration t.stats ~fed ~produced ~result_size
-  in
   let apply input =
     (* Fresh volatile slots — the Fix_ref binding changed; loop-invariant
        subplans keep their run and persistent entries across rounds. *)
@@ -778,52 +775,44 @@ and eval_fix t env ~delta ~fix_id ~seed body =
     if !k > 0 then runs := fresh :: !runs;
     (fresh, !k, produced)
   in
-  let first = apply seed in
-  let schema = Relation.schema first in
-  let (fresh0, n0, first_n) = fresh_of first in
-  record ~fed:(Relation.cardinal seed) ~produced:first_n ~result_size:!total;
-  let assemble () =
-    let rs = List.rev !runs in
-    if !node_mode then
-      (* pairwise linear merges over sorted, disjoint runs (the PR 3
-         accumulator kernel) — output lands in document order, so the
-         result gather is merge-only. *)
-      let node_runs =
-        List.map
-          (fun r ->
-            match Relation.cols r with
-            | [| _; Relation.Nodes nds |] -> nds
-            | _ -> assert false)
-          rs
-      in
-      let merged = Accumulator.merge_runs node_runs in
-      let iter_v = match !node_iter with Some v -> v | None -> 1 in
-      Relation.of_cols schema
-        [| Relation.Ints (Array.make (Array.length merged) iter_v);
-           Relation.Nodes merged |]
-    else Relation.concat_many schema rs
+  (* The result takes the body's column order, as its first output
+     has it; Naïve's input is every fresh run so far, in arrival order. *)
+  let schema = ref None in
+  let res = ref None in
+  let absorb out =
+    if !schema = None then schema := Some (Relation.schema out);
+    let (fresh, k, produced) = fresh_of out in
+    if not delta then
+      res :=
+        Some (match !res with None -> fresh | Some r -> Relation.union r fresh);
+    (fresh, k, produced)
   in
-  if delta then begin
-    let rec loop dl dl_n i =
-      if i > t.max_iterations then err "µ∆ diverged after %d iterations" i;
-      let out = apply dl in
-      let (fresh, fresh_n, out_n) = fresh_of out in
-      record ~fed:dl_n ~produced:out_n ~result_size:!total;
-      if fresh_n = 0 then assemble () else loop fresh fresh_n (i + 1)
+  ignore
+    (Fixpoint.run ~max_iterations:t.max_iterations
+       ?whole:(if delta then None else Some (fun () -> Option.get !res))
+       ~stats:t.stats ~body:apply ~absorb
+       ~size:(fun () -> !total)
+       (Fixpoint.Apply (seed, Relation.cardinal seed)));
+  let schema = Option.get !schema in
+  let rs = List.rev !runs in
+  if !node_mode then
+    (* pairwise linear merges over sorted, disjoint runs (the PR 3
+       accumulator kernel) — output lands in document order, so the
+       result gather is merge-only. *)
+    let node_runs =
+      List.map
+        (fun r ->
+          match Relation.cols r with
+          | [| _; Relation.Nodes nds |] -> nds
+          | _ -> assert false)
+        rs
     in
-    loop fresh0 n0 1
-  end
-  else begin
-    let rec loop res res_n i =
-      if i > t.max_iterations then err "µ diverged after %d iterations" i;
-      let out = apply res in
-      let (fresh, fresh_n, out_n) = fresh_of out in
-      record ~fed:res_n ~produced:out_n ~result_size:!total;
-      if fresh_n = 0 then assemble ()
-      else loop (Relation.union res fresh) (res_n + fresh_n) (i + 1)
-    in
-    loop fresh0 n0 1
-  end
+    let merged = Accumulator.merge_runs node_runs in
+    let iter_v = match !node_iter with Some v -> v | None -> 1 in
+    Relation.of_cols schema
+      [| Relation.Ints (Array.make (Array.length merged) iter_v);
+         Relation.Nodes merged |]
+  else Relation.concat_many schema rs
 
 (* A top-level environment: nothing is iterated yet, so no slot is
    volatile at this level. *)

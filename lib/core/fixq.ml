@@ -239,7 +239,7 @@ type sql_site = {
           unchanged (e.g. the per-course fixpoints of Rule 5) *)
 }
 
-let install_sql_handler ~mode ~fallbacks ~used_delta ev =
+let install_sql_handler ~max_iterations ~mode ~fallbacks ~used_delta ev =
   let cache : sql_site Expr_tbl.t = Expr_tbl.create 8 in
   let failed : string Expr_tbl.t = Expr_tbl.create 8 in
   let stats = Eval.stats ev in
@@ -335,12 +335,8 @@ let install_sql_handler ~mode ~fallbacks ~used_delta ev =
                    site.Eval.ifp_seed
                in
                let db = Render_sql.database p ~seed_rows in
-               Stats.start_run stats;
                let r =
-                 Sqlrec.run
-                   ~on_round:(fun ~fed ~produced ~total ->
-                     Stats.record_iteration stats ~fed ~produced
-                       ~result_size:total)
+                 Sqlrec.run ~max_iterations ~stats
                    ~algorithm:(if use_delta then Sqlrec.Delta else Sqlrec.Naive)
                    db p.Render_sql.query
                in
@@ -359,34 +355,25 @@ let install_sql_handler ~mode ~fallbacks ~used_delta ev =
                     (Algebra_ir.Relation.create [ "iter"; "item" ] rows)))))
 
 let run_program ?(registry = Xdm.Doc_registry.default)
-    ?(max_iterations = 1_000_000) ?(stratified = false) ?domains
-    ?chunk_threshold ?deadline ?round_hook ?max_call_depth ?sites ~engine p =
+    ?(max_iterations = 1_000_000) ?(stratified = false) ?deadline ?round_hook
+    ?max_call_depth ?sites ~engine p =
   let fallbacks = ref [] in
   let used_delta = ref None in
   let ev =
-    match engine with
-    | Interpreter mode ->
-      Eval.create ~registry ~max_iterations ~stratified ?domains
-        ?chunk_threshold ?max_call_depth ~strategy:(strategy_of_mode mode) ()
-    | Algebra mode ->
-      let ev =
-        (* Interpreter strategy doubles as the fallback policy (and runs
-           any IFP the compiler rejects, hence the parallel knobs). *)
-        Eval.create ~registry ~max_iterations ~stratified ?domains
-          ?chunk_threshold ?max_call_depth ~strategy:(strategy_of_mode mode) ()
-      in
-      let sites = match sites with Some s -> s | None -> create_sites () in
-      install_algebra_handler ~sites ~registry ~max_iterations ~stratified
-        ~mode ~fallbacks ~used_delta ev;
-      ev
-    | Sql mode ->
-      let ev =
-        Eval.create ~registry ~max_iterations ~stratified ?domains
-          ?chunk_threshold ?max_call_depth ~strategy:(strategy_of_mode mode) ()
-      in
-      install_sql_handler ~mode ~fallbacks ~used_delta ev;
-      ev
+    (* The interpreter strategy doubles as the algebra and SQL engines'
+       fallback policy: it runs any IFP their compilers reject. *)
+    let mode = match engine with Interpreter m | Algebra m | Sql m -> m in
+    Eval.create ~registry ~max_iterations ~stratified ?max_call_depth
+      ~strategy:(strategy_of_mode mode) ()
   in
+  (match engine with
+  | Interpreter _ -> ()
+  | Algebra mode ->
+    let sites = match sites with Some s -> s | None -> create_sites () in
+    install_algebra_handler ~sites ~registry ~max_iterations ~stratified ~mode
+      ~fallbacks ~used_delta ev
+  | Sql mode ->
+    install_sql_handler ~max_iterations ~mode ~fallbacks ~used_delta ev);
   (match (deadline, round_hook) with
   | None, None -> ()
   | _ ->
@@ -444,10 +431,10 @@ let parse src =
     let line, col = Lang.Lexer.line_col_of src pos in
     raise (Error (Printf.sprintf "lex error at %d:%d: %s" line col msg))
 
-let run ?registry ?max_iterations ?stratified ?domains ?chunk_threshold
-    ?deadline ?round_hook ?max_call_depth ~engine src =
-  run_program ?registry ?max_iterations ?stratified ?domains ?chunk_threshold
-    ?deadline ?round_hook ?max_call_depth ~engine (parse src)
+let run ?registry ?max_iterations ?stratified ?deadline ?round_hook
+    ?max_call_depth ~engine src =
+  run_program ?registry ?max_iterations ?stratified ?deadline ?round_hook
+    ?max_call_depth ~engine (parse src)
 
 (* Capture the compiled plan of the first IFP encountered dynamically:
    install a capturing handler, then run the program on the interpreter.

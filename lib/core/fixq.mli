@@ -61,31 +61,26 @@ type report = {
 exception Error of string
 
 (** Compile-and-run a query string. [max_iterations] bounds every IFP
-    (default 1,000,000); exceeding it raises {!Error} — relevant for
-    bodies with node constructors, whose fixed points may be undefined
-    (Definition 2.1). [stratified] (default [false]) extends both
-    [Auto] distributivity checks with the Section-6
-    stratified-difference rule ([$x except R] with fixed [R]).
-    [deadline] (absolute [Unix.gettimeofday] seconds) aborts the run
-    with {!Error} once the wall clock passes it; enforcement is
-    cooperative, checked once per fixpoint round on either engine — the
-    budget knob of the long-running [fixq serve] front end.
-    [domains]/[chunk_threshold] make Delta-eligible interpreter
-    fixpoints run the body in parallel on that many OCaml domains
-    (rounds smaller than [chunk_threshold], default 64, stay
-    sequential); they do not affect µ/µ∆ plans. [round_hook] is called
-    once per fixpoint round (same cooperative site as [deadline], before
-    the deadline check) — the serving layer's resource governor uses it
-    to abort runs whose heap growth exceeds their memory budget; any
-    exception it raises propagates out of the run unconverted.
-    [max_call_depth] bounds user-function recursion depth (default
-    100,000; exceeding it raises {!Error}). *)
+    on every engine (default 1,000,000); exceeding it raises {!Error}
+    ["IFP diverged after N iterations"] — relevant for bodies with node
+    constructors, whose fixed points may be undefined (Definition 2.1).
+    [stratified] (default [false]) extends both [Auto] distributivity
+    checks with the Section-6 stratified-difference rule ([$x except R]
+    with fixed [R]). [deadline] (absolute [Unix.gettimeofday] seconds)
+    aborts the run with {!Error} once the wall clock passes it;
+    enforcement is cooperative, checked once per fixpoint round on
+    every engine — the budget knob of the long-running [fixq serve]
+    front end. [round_hook] is called once per fixpoint round (same
+    cooperative site as [deadline], before the deadline check) — the
+    serving layer's resource governor uses it to abort runs whose heap
+    growth exceeds their memory budget; any exception it raises
+    propagates out of the run unconverted. [max_call_depth] bounds
+    user-function recursion depth (default 100,000; exceeding it raises
+    {!Error}). *)
 val run :
   ?registry:Xdm.Doc_registry.t ->
   ?max_iterations:int ->
   ?stratified:bool ->
-  ?domains:int ->
-  ?chunk_threshold:int ->
   ?deadline:float ->
   ?round_hook:(unit -> unit) ->
   ?max_call_depth:int ->
@@ -115,8 +110,6 @@ val run_program :
   ?registry:Xdm.Doc_registry.t ->
   ?max_iterations:int ->
   ?stratified:bool ->
-  ?domains:int ->
-  ?chunk_threshold:int ->
   ?deadline:float ->
   ?round_hook:(unit -> unit) ->
   ?max_call_depth:int ->

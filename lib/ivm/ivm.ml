@@ -95,7 +95,10 @@ let adopt t ~hash ~config ~program ~stratified ~max_iterations ~result
           Item.as_node_seq "ivm seed" (Lang.Eval.eval_expr ev seed)
         with
         | ns -> Some ns
-        | exception _ -> None
+        | exception
+            ( Lang.Eval.Error _ | Lang.Builtins.Error _ | Xdm.Atom.Type_error _
+            | Lang.Fixpoint.Diverged _ ) ->
+          None
       in
       match seed_nodes with
       | None -> ()
@@ -127,8 +130,6 @@ let drop_where t pred =
 let on_unload t ~uri =
   ignore (drop_where t (fun e -> List.mem uri e.uris))
 
-exception Maintenance_failed of string
-
 (* Differential re-evaluation (Alvarez-Picallo et al.: the derivative of
    a fixpoint is a fixpoint): re-enter the delta loop from the edit
    frontier instead of re-running the whole fixpoint.
@@ -140,7 +141,8 @@ exception Maintenance_failed of string
    the delta's old-id → new-node remap (dropping deleted nodes, which
    for filter-free downward bodies removes exactly the derivations the
    deleted subtree supported), and new derivations are absorbed into a
-   rebuilt accumulator by the standard [∆ ← body(∆) except res] loop. *)
+   rebuilt accumulator by the fixpoint kernel's Delta loop, resumed at
+   the frontier. *)
 let maintain t entry (delta : Patch.delta) =
   let remap ns =
     List.filter_map (fun n -> Hashtbl.find_opt delta.Patch.remap n.Node.id) ns
@@ -178,29 +180,23 @@ let maintain t entry (delta : Patch.delta) =
   let frontier =
     Item.ddo (List.map (fun n -> Item.N n) (fresh_seed @ spine))
   in
-  let rounds = ref 0 in
-  let total_fresh = ref 0 in
-  (* Always at least one round: even an empty frontier must revalidate
+  (* Resume: an empty frontier still runs one round, which revalidates
      doc("…")-constant parts of the body against the patched tree. *)
-  let rec loop delta_in =
-    incr rounds;
-    if !rounds > entry.max_iterations then
-      raise
-        (Maintenance_failed
-           (Printf.sprintf "maintenance exceeded %d iterations"
-              entry.max_iterations));
-    let out = Lang.Eval.eval_expr ev ~vars:[ (entry.var, delta_in) ] entry.body in
-    let fresh, fresh_n, _ = Accumulator.absorb acc ~who:"ivm body" out in
-    total_fresh := !total_fresh + fresh_n;
-    if fresh_n > 0 then loop fresh
+  let base = Accumulator.size acc in
+  let rounds =
+    Lang.Fixpoint.on_nodes ~max_iterations:entry.max_iterations
+      ~use_delta:true ~stats:(Lang.Eval.stats ev)
+      ~body:(fun delta_in ->
+        Lang.Eval.eval_expr ev ~vars:[ (entry.var, delta_in) ] entry.body)
+      acc
+      (Lang.Fixpoint.Resume (frontier, List.length frontier))
   in
-  loop frontier;
   let dropped = List.length entry.nodes - List.length old_result in
   let serialized = Xdm.Serializer.seq_to_string (Accumulator.to_seq acc) in
   entry.nodes <- Accumulator.to_nodes acc;
   entry.seed_nodes <- seed';
   Maintained
-    { serialized; delta_count = !total_fresh + dropped; rounds = !rounds }
+    { serialized; delta_count = Accumulator.size acc - base + dropped; rounds }
 
 let on_patch t ~uri ~op (delta : Patch.delta) =
   let touched =
@@ -232,7 +228,10 @@ let on_patch t ~uri ~op (delta : Patch.delta) =
               c.maintained <- c.maintained + 1;
               c.delta_nodes <- c.delta_nodes + m.delta_count);
           ((hash, config), outcome)
-        | exception Maintenance_failed r -> drop r
+        | exception Lang.Fixpoint.Diverged _ ->
+          drop
+            (Printf.sprintf "maintenance exceeded %d iterations"
+               e.max_iterations)
         | exception Lang.Eval.Error r -> drop ("evaluation failed: " ^ r)
         | exception Xdm.Atom.Type_error r -> drop ("non-node result: " ^ r)))
     touched

@@ -14,7 +14,7 @@ exception Error of string
 let err fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 module Semiring = Fixq_semiring.Semiring
-module Kernel = Fixq_semiring.Kernel
+module Annot_acc = Fixq_semiring.Annot_acc
 
 type ifp_site = {
   ifp_var : string;
@@ -55,8 +55,6 @@ type t = {
       (** annotated result of the most recent [accumulate by] fixpoint *)
   mutable ifp_handler : (ifp_site -> Item.seq option) option;
   stratified : bool;
-  domains : int option;  (** Some d: run Delta rounds on d domains *)
-  chunk_threshold : int;
   value_indexes : (int, index_site list) Hashtbl.t;
       (** by context node id; lives and dies with this evaluator *)
 }
@@ -69,11 +67,11 @@ type env = {
 
 let create ?(registry = Doc_registry.default) ?(strategy = Auto)
     ?(max_iterations = 1_000_000) ?(max_call_depth = 100_000)
-    ?(stratified = false) ?domains ?(chunk_threshold = 64) () =
+    ?(stratified = false) () =
   { functions = Hashtbl.create 16; registry; stats = Stats.create ();
     strategy; max_iterations; max_call_depth; globals = Smap.empty;
     last_ifp_used_delta = None; last_annotations = None; ifp_handler = None;
-    stratified; domains; chunk_threshold; value_indexes = Hashtbl.create 8 }
+    stratified; value_indexes = Hashtbl.create 8 }
 
 let set_ifp_handler t h = t.ifp_handler <- h
 
@@ -557,10 +555,7 @@ and eval_path_steps t env a b =
 
 and eval_filter t env a p =
   match (a, p, env.ctx) with
-  | (Axis_step step, Gen_cmp (Eq, l, r), Some (Item.N n, _, _))
-    when t.domains = None ->
-    (* Parallel Delta rounds evaluate filters on several domains: the
-       index table is not shared across them. *)
+  | (Axis_step step, Gen_cmp (Eq, l, r), Some (Item.N n, _, _)) ->
     eval_indexed_filter t env step p l r n
   | _ -> eval_filter_scan t env a p
 
@@ -691,61 +686,80 @@ and eval_ifp t env var seed body accum =
   match external_result with
   | Some result -> result
   | None -> (
-    let body_fn input =
-      eval t { env with vars = Smap.add var input env.vars } body
-    in
-    let use_delta =
-      match t.strategy with
-      | Naive -> false
-      | Delta -> true
-      | Auto ->
-        Distributivity.check ~functions:t.functions ~stratified:t.stratified
-          var body
-    in
     match accum with
-    | Some a -> eval_ifp_semiring t env var seed_v body a ~use_delta ~body_fn
-    | None -> (
+    | Some a when a.kind <> Semiring.Bool ->
+      eval_ifp_annotated t env var seed_v body a
+    | _ ->
+      let body_fn input =
+        eval t { env with vars = Smap.add var input env.vars } body
+      in
+      let use_delta =
+        match t.strategy with
+        | Naive -> false
+        | Delta -> true
+        | Auto ->
+          Distributivity.check ~functions:t.functions
+            ~stratified:t.stratified var body
+      in
       t.last_ifp_used_delta <- Some use_delta;
-      match (use_delta, t.domains) with
-      | (true, Some d) ->
-        (* Parallel Delta is only sound for constructor-free distributive
-           bodies — exactly the bodies Delta itself is chosen for. *)
-        Fixpoint.delta_parallel ~max_iterations:t.max_iterations ~domains:d
-          ~chunk_threshold:t.chunk_threshold ~stats:t.stats ~body:body_fn
+      let fixpoint = if use_delta then Fixpoint.delta else Fixpoint.naive in
+      let result =
+        fixpoint ~max_iterations:t.max_iterations ~stats:t.stats ~body:body_fn
           ~seed:seed_v ()
-      | (true, None) ->
-        Fixpoint.delta ~max_iterations:t.max_iterations ~stats:t.stats
-          ~body:body_fn ~seed:seed_v ()
-      | (false, _) ->
-        Fixpoint.naive ~max_iterations:t.max_iterations ~stats:t.stats
-          ~body:body_fn ~seed:seed_v ()))
+      in
+      (* [accumulate by bool] is the plain IFP, every node annotated Mark *)
+      if Option.is_some accum then
+        t.last_annotations <-
+          Some
+            ( Semiring.Bool,
+              List.map (fun it -> (Annot_acc.node_of it, Semiring.Mark)) result
+            );
+      result)
 
-(* [accumulate by …]: route the fixpoint through the semiring kernel.
-   [bool] runs the batch kernel with the same naive/delta choice as the
-   legacy loop (byte-identical results and round statistics); the other
-   kinds feed the body one frontier node at a time so each produced
-   node's annotation extends its source's via ⊗, re-feeding only strict
-   improvements. *)
-and eval_ifp_semiring t env var seed_v body a ~use_delta ~body_fn =
+(* [accumulate by] a weighted or counting semiring: the {!Annot_acc}
+   instance of the kernel, Delta only. The body is fed one frontier
+   node at a time so each produced node's annotation is ⊗-extended
+   from its source's — candidate = src_ann ⊗ weight(produced) — and
+   the next frontier is exactly the set of strict ⊕-improvements: for
+   [min] this is Bellman-Ford over the derivation graph, for [count]
+   the increments propagate path multiplicities, for [why] the newly
+   discovered witnesses. Seeds carry {!Semiring.seed_ann} but (as in
+   the paper's loop) only enter the result if the body derives them. *)
+and eval_ifp_annotated t env var seed_v body a =
   let kind = a.kind in
-  let record ~fed ~produced ~result_size =
-    Stats.record_iteration t.stats ~fed ~produced ~result_size
+  let acc = Annot_acc.create kind in
+  let weight_of =
+    match weight_fn t env a with
+    | Some w when Semiring.takes_weight kind -> fun n -> Some (w n)
+    | _ -> fun _ -> None
   in
-  Stats.start_run t.stats;
-  let acc =
-    match
-      Kernel.run ~max_iterations:t.max_iterations ~kind ~use_delta ~record
-        ~body:body_fn
-        ~step:(fun n ->
-          eval t { env with vars = Smap.add var [ Item.N n ] env.vars } body)
-        ~weight:(weight_fn t env a) ~seed:seed_v ()
-    with
-    | acc -> acc
-    | exception Kernel.Diverged i -> raise (Fixpoint.Diverged i)
+  let feed (src, src_ann) =
+    List.map
+      (fun it ->
+        let n = Annot_acc.node_of it in
+        (n, Semiring.extend kind src_ann (weight_of n)))
+      (eval t { env with vars = Smap.add var [ Item.N src ] env.vars } body)
   in
-  t.last_ifp_used_delta <- Some (kind <> Semiring.Bool || use_delta);
-  t.last_annotations <- Some (kind, Kernel.Annot_acc.entries acc);
-  Kernel.Annot_acc.to_seq acc
+  let absorb out =
+    let fresh = Annot_acc.absorb acc out in
+    (fresh, List.length fresh, List.length out)
+  in
+  let frontier =
+    List.map
+      (fun it ->
+        let n = Annot_acc.node_of it in
+        (n, Semiring.seed_ann kind n))
+      seed_v
+  in
+  ignore
+    (Fixpoint.run ~max_iterations:t.max_iterations ~stats:t.stats
+       ~body:(List.concat_map feed) ~absorb
+       ~size:(fun () -> Annot_acc.size acc)
+       (Fixpoint.Resume (frontier, List.length frontier)));
+  t.last_ifp_used_delta <- Some true;
+  let entries = Annot_acc.entries acc in
+  t.last_annotations <- Some (kind, entries);
+  List.map (fun (n, _) -> Item.N n) entries
 
 (* The weight expression of [min]/[max] is evaluated once per produced
    node, with that node as the context item (the recursion variable is

@@ -3,143 +3,57 @@ module Accumulator = Fixq_xdm.Accumulator
 
 exception Diverged of int
 
-let default_max = 1_000_000
+type 'i start = Apply of 'i * int | Resume of 'i * int
 
-(* Both loops thread an {!Fixq_xdm.Accumulator} instead of re-sorting
-   the accumulated result every round: [absorb] filters the body's
-   output against a bitmap (the old [Item.except]), appends the fresh
-   nodes as a sorted run (the old [Item.union]) and counts sizes along
-   the way, so the per-round cost depends on |out| + |Δ| only — and the
-   stats recording below costs no extra traversals. *)
-
-(* Figure 3(a): res ← erec(eseed); do res ← erec(res) ∪ res while res
-   grows. Growth is detected on node-identity sets, which for node
-   sequences coincides with the set-equality test of Definition 2.1.
-   With [include_seed] the iteration starts from res ← eseed instead
-   (Example 2.4's convention). *)
-let naive ?(max_iterations = default_max) ?(include_seed = false) ~stats ~body
-    ~seed () =
+(* Figure 3 as one loop. Each round feeds [body] either the whole
+   accumulated result (Naïve, when [whole] is given) or the previous
+   round's fresh output (Delta), lets the instance's [absorb] fold the
+   output into its own structure, and records the round. The loop ends
+   on the first round that absorbs nothing new — for node sets that is
+   Definition 2.1's set-equality test; for semiring accumulators, "no
+   annotation strictly improved". *)
+let run ?(max_iterations = 1_000_000) ?whole ~stats ~body ~absorb ~size start
+    =
   Stats.start_run stats;
-  let acc = Accumulator.create () in
-  if include_seed then ignore (Accumulator.absorb acc ~who:"fs:ddo" seed)
-  else begin
-    let seed_n = List.length seed in
-    let first = body seed in
-    let (_, _, first_n) = Accumulator.absorb acc ~who:"fs:ddo" first in
-    Stats.record_iteration stats ~fed:seed_n ~produced:first_n
-      ~result_size:(Accumulator.size acc)
-  end;
-  let rec loop i =
-    if i > max_iterations then raise (Diverged i);
-    let res_n = Accumulator.size acc in
-    let out = body (Accumulator.to_seq acc) in
-    let (_, fresh_n, out_n) = Accumulator.absorb acc ~who:"union" out in
-    Stats.record_iteration stats ~fed:res_n ~produced:out_n
-      ~result_size:(Accumulator.size acc);
-    if fresh_n = 0 then Accumulator.to_seq acc else loop (i + 1)
+  let round ~fed input =
+    let (fresh, fresh_n, out_n) = absorb (body input) in
+    Stats.record_iteration stats ~fed ~produced:out_n ~result_size:(size ());
+    (fresh, fresh_n)
   in
-  loop 1
+  let rec loop (delta, delta_n) i =
+    if i > max_iterations then raise (Diverged i);
+    let (fresh, fresh_n) =
+      match whole with
+      | Some whole -> round ~fed:(size ()) (whole ())
+      | None -> round ~fed:delta_n delta
+    in
+    if fresh_n = 0 then i else loop (fresh, fresh_n) (i + 1)
+  in
+  match start with
+  | Apply (seed, seed_n) -> loop (round ~fed:seed_n seed) 1
+  | Resume (frontier, frontier_n) -> loop (frontier, frontier_n) 1
 
-(* Figure 3(b): the payload sees only the newly discovered nodes. *)
-let delta ?(max_iterations = default_max) ?(include_seed = false) ~stats ~body
+(* The node-set instance: an {!Fixq_xdm.Accumulator} filters each
+   round's output against a bitmap and appends the fresh nodes as a
+   sorted run, so a round costs O(|out| + |Δ|) whatever |res| is. *)
+let on_nodes ?max_iterations ~use_delta ~stats ~body acc start =
+  let whole () = Accumulator.to_seq acc in
+  run ?max_iterations ?whole:(if use_delta then None else Some whole) ~stats
+    ~body ~absorb:(Accumulator.absorb acc ~who:"fs:ddo")
+    ~size:(fun () -> Accumulator.size acc)
+    start
+
+let nodes ?max_iterations ?(include_seed = false) ~use_delta ~stats ~body
     ~seed () =
-  Stats.start_run stats;
   let acc = Accumulator.create () in
   let start =
     if include_seed then
       let (fresh, fresh_n, _) = Accumulator.absorb acc ~who:"fs:ddo" seed in
-      (fresh, fresh_n)
-    else begin
-      let seed_n = List.length seed in
-      let first = body seed in
-      let (fresh, fresh_n, first_n) =
-        Accumulator.absorb acc ~who:"fs:ddo" first
-      in
-      Stats.record_iteration stats ~fed:seed_n ~produced:first_n
-        ~result_size:(Accumulator.size acc);
-      (fresh, fresh_n)
-    end
+      Resume (fresh, fresh_n)
+    else Apply (seed, List.length seed)
   in
-  let rec loop (delta, delta_n) i =
-    if i > max_iterations then raise (Diverged i);
-    let out = body delta in
-    let (fresh, fresh_n, out_n) = Accumulator.absorb acc ~who:"except" out in
-    Stats.record_iteration stats ~fed:delta_n ~produced:out_n
-      ~result_size:(Accumulator.size acc);
-    if fresh_n = 0 then Accumulator.to_seq acc
-    else loop (fresh, fresh_n) (i + 1)
-  in
-  loop start 1
+  ignore (on_nodes ?max_iterations ~use_delta ~stats ~body acc start);
+  Accumulator.to_seq acc
 
-(* Parallel Delta (Section 7's divide-and-conquer reading of
-   distributivity): split each round's ∆ across domains. The first
-   round runs sequentially so lazily-built document indexes are in
-   place before concurrent reads. *)
-let delta_parallel ?(max_iterations = default_max) ?(include_seed = false)
-    ?domains ?(chunk_threshold = 64) ~stats ~body ~seed () =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> max 1 (Domain.recommended_domain_count () - 1)
-  in
-  let split n k items =
-    (* k roughly equal chunks, preserving order within chunks *)
-    let size = max 1 ((n + k - 1) / k) in
-    let rec go acc current count = function
-      | [] ->
-        List.rev
-          (if current = [] then acc else List.rev current :: acc)
-      | x :: rest ->
-        if count = size then go (List.rev current :: acc) [ x ] 1 rest
-        else go acc (x :: current) (count + 1) rest
-    in
-    go [] [] 0 items
-  in
-  (* Returns the per-chunk results in a preallocated array (slot 0 is
-     the chunk evaluated on this domain) — absorbed without ever
-     concatenating them into one list. *)
-  let apply_parallel input input_n =
-    if domains = 1 || input_n < chunk_threshold then [| body input |]
-    else begin
-      match split input_n domains input with
-      | [] -> [||]
-      | first :: rest ->
-        let handles =
-          List.map (fun chunk -> Domain.spawn (fun () -> body chunk)) rest
-        in
-        let parts = Array.make (List.length handles + 1) [] in
-        parts.(0) <- body first;
-        List.iteri (fun i h -> parts.(i + 1) <- Domain.join h) handles;
-        parts
-    end
-  in
-  Stats.start_run stats;
-  let acc = Accumulator.create () in
-  let start =
-    if include_seed then
-      let (fresh, fresh_n, _) = Accumulator.absorb acc ~who:"fs:ddo" seed in
-      (fresh, fresh_n)
-    else begin
-      (* sequential first application: warms lazy indexes *)
-      let seed_n = List.length seed in
-      let first = body seed in
-      let (fresh, fresh_n, first_n) =
-        Accumulator.absorb acc ~who:"fs:ddo" first
-      in
-      Stats.record_iteration stats ~fed:seed_n ~produced:first_n
-        ~result_size:(Accumulator.size acc);
-      (fresh, fresh_n)
-    end
-  in
-  let rec loop (delta, delta_n) i =
-    if i > max_iterations then raise (Diverged i);
-    let out_parts = apply_parallel delta delta_n in
-    let (fresh, fresh_n, out_n) =
-      Accumulator.absorb_parts acc ~who:"except" out_parts
-    in
-    Stats.record_iteration stats ~fed:delta_n ~produced:out_n
-      ~result_size:(Accumulator.size acc);
-    if fresh_n = 0 then Accumulator.to_seq acc
-    else loop (fresh, fresh_n) (i + 1)
-  in
-  loop start 1
+let naive = nodes ~use_delta:false
+let delta = nodes ~use_delta:true

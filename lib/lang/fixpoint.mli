@@ -1,23 +1,64 @@
-(** The two IFP evaluation algorithms of Figure 3.
+(** The fixpoint kernel: the two IFP evaluation algorithms of Figure 3
+    as one loop, shared by every engine.
 
-    Both compute the inflationary fixed point of a payload function
-    [body : node()* -> node()*] from a seed sequence:
+    {!run} owns everything the algorithms have in common — the
+    [max_iterations] budget, the one {!Diverged} error, the per-round
+    {!Stats.record_iteration} (and with it the chaos point and the
+    governor's round hook), the termination test and the choice between
+    Naïve's and Delta's input. An engine is an {e instance}: it supplies
+    only how a round's output is absorbed into its own accumulated
+    structure. The instances are node sets ({!on_nodes}: the
+    interpreter, [accumulate by bool], IVM, the bench), the algebra
+    engine's relation seen-set, the interpreter's semiring accumulator
+    (Delta only), and the SQL:1999 evaluator's tables.
 
-    - {!naive} re-feeds the whole accumulated result into [body] on
-      every round (Figure 3(a));
-    - {!delta} feeds only the yet-unseen nodes
-      [∆ ← body(∆) except res] (Figure 3(b)) — sound exactly when the
-      payload is distributive (Theorem 3.2).
-
-    Every payload invocation is recorded in the supplied {!Stats.t}
-    (nodes fed, nodes produced, accumulated size), which yields the
-    "Total # of Nodes Fed Back" and "Recursion Depth" columns of
-    Table 2. *)
+    Every round is recorded in the supplied {!Stats.t} (nodes fed,
+    nodes produced, accumulated size), which yields the "Total # of
+    Nodes Fed Back" and "Recursion Depth" columns of Table 2. *)
 
 exception Diverged of int
-(** Raised when the iteration count exceeds [max_iterations]; an IFP
-    whose body invokes node constructors may be undefined
-    (Definition 2.1). *)
+(** Raised when the round count exceeds [max_iterations]; an IFP whose
+    body invokes node constructors may be undefined (Definition 2.1). *)
+
+(** Where the loop starts. [Apply (seed, |seed|)] first applies the
+    body to the seed (Definition 2.1 and Figure 3: [res ← erec(eseed)]);
+    that application is not counted against the budget.
+    [Resume (frontier, |frontier|)] starts at a frontier the instance
+    has already set up — Example 2.4's seed-in-result convention, and
+    incremental maintenance re-entering Delta at an edit frontier. *)
+type 'i start = Apply of 'i * int | Resume of 'i * int
+
+val run :
+  ?max_iterations:int ->
+  ?whole:(unit -> 'i) ->
+  stats:Stats.t ->
+  body:('i -> 'o) ->
+  absorb:('o -> 'i * int * int) ->
+  size:(unit -> int) ->
+  'i start ->
+  int
+(** [run ?whole ~stats ~body ~absorb ~size start] iterates until a
+    round absorbs nothing new and returns the number of rounds after
+    the start (the budgeted ones). [absorb out] folds one round's
+    output into the instance's accumulator and returns
+    [(fresh, |fresh|, |out|)]; [fresh] is the next Delta input. [size
+    ()] is the accumulated result's size. With [whole] every round is
+    fed [whole ()], the accumulated result (Naïve, Figure 3(a));
+    without it, the previous round's [fresh] (Delta, Figure 3(b)) —
+    sound exactly when the body is distributive (Theorem 3.2).
+    [max_iterations] defaults to 1,000,000. *)
+
+val on_nodes :
+  ?max_iterations:int ->
+  use_delta:bool ->
+  stats:Stats.t ->
+  body:(Fixq_xdm.Item.seq -> Fixq_xdm.Item.seq) ->
+  Fixq_xdm.Accumulator.t ->
+  Fixq_xdm.Item.seq start ->
+  int
+(** The node-set instance of {!run} over an {!Fixq_xdm.Accumulator},
+    which may already hold nodes (a maintained result). Raises
+    [Atom.Type_error] if the body yields an atom. *)
 
 (** [include_seed] selects the iteration's starting point. The paper is
     not fully consistent here: Definition 2.1 and Figure 3 start from
@@ -39,30 +80,6 @@ val naive :
 val delta :
   ?max_iterations:int ->
   ?include_seed:bool ->
-  stats:Stats.t ->
-  body:(Fixq_xdm.Item.seq -> Fixq_xdm.Item.seq) ->
-  seed:Fixq_xdm.Item.seq ->
-  unit ->
-  Fixq_xdm.Item.seq
-
-(** Parallel Delta — the divide-and-conquer evaluation the paper's
-    wrap-up (Section 7) derives from distributivity: each round's ∆ is
-    split into [domains] chunks evaluated concurrently on OCaml
-    domains, and the partial results are united. Sound under exactly
-    the same condition as {!delta} (the body must be distributive —
-    that equation is what justifies the split), and additionally the
-    [body] closure must be thread-safe: evaluate only constructor-free,
-    read-only expressions (which distributive bodies are), and warm any
-    lazily-built per-document indexes ([fn:id]'s, for instance) before
-    going parallel — this function runs the first round sequentially
-    for that reason. [chunk_threshold] (default 64) keeps small rounds
-    sequential; [domains] defaults to [Domain.recommended_domain_count
-    () - 1], at least 1. *)
-val delta_parallel :
-  ?max_iterations:int ->
-  ?include_seed:bool ->
-  ?domains:int ->
-  ?chunk_threshold:int ->
   stats:Stats.t ->
   body:(Fixq_xdm.Item.seq -> Fixq_xdm.Item.seq) ->
   seed:Fixq_xdm.Item.seq ->

@@ -47,8 +47,9 @@ let start_run t =
 
 let set_iteration_hook t hook = t.iteration_hook <- hook
 
-(* Both engines report every fixpoint round here (the µ/µ∆ evaluator
-   shares the interpreter's Stats.t), so this is the single place where
+(* The fixpoint kernel reports every round of every engine here (the
+   µ/µ∆ and SQL evaluators share the interpreter's Stats.t), so this is
+   the single place where
    a chaos schedule can fault "mid-round" deterministically: a
    simulated allocation failure, a stall, or a worker crash between
    rounds N and N+1. *)

@@ -36,8 +36,8 @@ val record_iteration : t -> fed:int -> produced:int -> result_size:int -> unit
 val snapshot : t -> snapshot
 
 (** Install (or clear) a callback invoked after every
-    {!record_iteration} — i.e. once per fixpoint round on either
-    engine. The hook may raise to abort the evaluation; the query
+    {!record_iteration} — i.e. once per fixpoint round on every
+    engine ({!Fixpoint.run} is the only caller). The hook may raise to abort the evaluation; the query
     service uses exactly that to enforce per-request wall-clock
     deadlines without the language layers needing a clock. *)
 val set_iteration_hook : t -> (unit -> unit) option -> unit

@@ -523,7 +523,8 @@ type algorithm = Naive | Delta
 
 type run = { result : Sqldb.table; iterations : int; rows_fed : int }
 
-let run ?(enforce_linearity = true) ?on_round ~algorithm db q =
+let run ?(enforce_linearity = true) ?max_iterations
+    ?(stats = Fixq_lang.Stats.create ()) ~algorithm db q =
   if enforce_linearity && not (is_linear q) then
     err
       "SQL:1999 linearity violation: %s is referenced more than once in \
@@ -537,46 +538,34 @@ let run ?(enforce_linearity = true) ?on_round ~algorithm db q =
     { t with Sqldb.columns = q.rec_columns }
   in
   let seed = Sqldb.distinct (with_cols (eval_select db q.seed)) in
-  let iterations = ref 0 in
-  let rows_fed = ref 0 in
   let apply (input : Sqldb.table) =
-    incr iterations;
-    rows_fed := !rows_fed + List.length input.Sqldb.rows;
     Sqldb.distinct
       (with_cols (eval_select ~extra:(q.rec_name, input) db q.body))
   in
-  let union (a : Sqldb.table) (b : Sqldb.table) =
-    Sqldb.distinct { a with Sqldb.rows = a.Sqldb.rows @ b.Sqldb.rows }
+  (* The table instance of the fixpoint kernel: the recursive table
+     starts as the seed (the seed select is e_rec applied to e_seed)
+     and each round appends the rows it had not seen. *)
+  let res = ref seed in
+  let size = ref (List.length seed.Sqldb.rows) in
+  let absorb (out : Sqldb.table) =
+    let fresh = Sqldb.difference out !res in
+    let fresh_n = List.length fresh.Sqldb.rows in
+    res := { !res with Sqldb.rows = !res.Sqldb.rows @ fresh.Sqldb.rows };
+    size := !size + fresh_n;
+    (fresh, fresh_n, List.length out.Sqldb.rows)
   in
-  let round ~fed ~produced ~total =
-    match on_round with
-    | Some f -> f ~fed ~produced ~total
-    | None -> ()
+  let iterations =
+    Fixq_lang.Fixpoint.run ?max_iterations
+      ?whole:
+        (match algorithm with Naive -> Some (fun () -> !res) | Delta -> None)
+      ~stats ~body:apply ~absorb
+      ~size:(fun () -> !size)
+      (Fixq_lang.Fixpoint.Resume (seed, !size))
   in
-  let rec naive res =
-    let out = apply res in
-    let next = union out res in
-    round
-      ~fed:(List.length res.Sqldb.rows)
-      ~produced:(List.length out.Sqldb.rows)
-      ~total:(List.length next.Sqldb.rows);
-    if List.length next.Sqldb.rows = List.length res.Sqldb.rows then next
-    else naive next
+  let rows_fed =
+    List.fold_left
+      (fun acc it -> acc + it.Fixq_lang.Stats.fed)
+      0 (Fixq_lang.Stats.last_run stats)
   in
-  let rec delta dl res =
-    let out = apply dl in
-    let dl' = Sqldb.difference out res in
-    let res' = union res dl' in
-    round
-      ~fed:(List.length dl.Sqldb.rows)
-      ~produced:(List.length out.Sqldb.rows)
-      ~total:(List.length res'.Sqldb.rows);
-    if dl'.Sqldb.rows = [] then res' else delta dl' res'
-  in
-  let fixed =
-    match algorithm with Naive -> naive seed | Delta -> delta seed seed
-  in
-  let result =
-    eval_select ~extra:(q.rec_name, fixed) db q.final
-  in
-  { result; iterations = !iterations; rows_fed = !rows_fed }
+  let result = eval_select ~extra:(q.rec_name, !res) db q.final in
+  { result; iterations; rows_fed }

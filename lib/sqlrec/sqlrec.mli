@@ -65,13 +65,15 @@ type run = {
 
 (** Evaluate. Raises {!Error} for nonlinear queries when
     [enforce_linearity] (default [true]) — matching the standard — and
-    for unknown tables/columns. [on_round] fires after every iteration
-    with the rows fed into the body, the rows it produced, and the
-    accumulated result size — the observation hook the fixpoint stats
-    layer and cooperative deadlines attach to. *)
+    for unknown tables/columns. The recursion runs on the shared
+    fixpoint kernel ({!Fixq_lang.Fixpoint.run}), starting at the seed
+    table: every round is recorded in [stats] (a fresh one by default),
+    and more than [max_iterations] rounds (default 1,000,000) raise
+    {!Fixq_lang.Fixpoint.Diverged}. *)
 val run :
   ?enforce_linearity:bool ->
-  ?on_round:(fed:int -> produced:int -> total:int -> unit) ->
+  ?max_iterations:int ->
+  ?stats:Fixq_lang.Stats.t ->
   algorithm:algorithm ->
   Sqldb.t ->
   query ->

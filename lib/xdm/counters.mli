@@ -4,8 +4,9 @@
 
     These sit below the language layer (which owns {!Fixq_lang.Stats}),
     so they are plain global counters the stats layer snapshots around
-    fixpoint rounds. Updates are unsynchronized: under
-    [Fixpoint.delta_parallel] concurrent increments may be lost, which
+    fixpoint rounds. Updates are unsynchronized: when bodies run on
+    several domains (the Section 7 bench) concurrent increments may be
+    lost, which
     is acceptable for observability counters (they never feed back into
     evaluation). *)
 

@@ -271,6 +271,26 @@ let test_plan_capture_lets_oom_through () =
       | _ -> Alcotest.fail "Out_of_memory swallowed by plan capture"
       | exception Out_of_memory -> ())
 
+(* IVM adoption evaluates the seed to capture it: a dynamic error there
+   means "not maintainable", but an Out_of_memory is the request's. *)
+let test_ivm_adopt_lets_oom_through () =
+  let module Ivm = Fixq_ivm.Ivm in
+  let p =
+    Fixq_lang.Parser.parse_program
+      {|with $x seeded by doc("fixq-chaos-absent.xml")/r recurse $x/*|}
+  in
+  let ivm = Ivm.create ~registry:(Fixq_xdm.Doc_registry.create ()) () in
+  let adopt () =
+    Ivm.adopt ivm ~hash:"h" ~config:"c" ~program:p ~stratified:false
+      ~max_iterations:100 ~result:[] ~footprint:[]
+  in
+  adopt ();
+  checki "dynamic error: nothing adopted" 0 (Ivm.size ivm);
+  with_chaos "store.read=oom" (fun () ->
+      match adopt () with
+      | () -> Alcotest.fail "Out_of_memory swallowed by ivm adopt"
+      | exception Out_of_memory -> ())
+
 (* ------------------------------------------------------------------ *)
 (* Protocol fuzz                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -455,7 +475,9 @@ let () =
          Alcotest.test_case "handle-point faults answered" `Quick
            test_server_handle_chaos_faults;
          Alcotest.test_case "plan capture lets oom through" `Quick
-           test_plan_capture_lets_oom_through ]);
+           test_plan_capture_lets_oom_through;
+         Alcotest.test_case "ivm adopt lets oom through" `Quick
+           test_ivm_adopt_lets_oom_through ]);
       ("fuzz",
        [ Alcotest.test_case "server survives mutated frames" `Quick
            test_fuzz_server;

@@ -211,73 +211,6 @@ let test_stats_accounting () =
      List.sort compare sizes = sizes)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel Delta (Section 7's divide-and-conquer)                     *)
-(* ------------------------------------------------------------------ *)
-
-let big_tree () =
-  (* a wide, shallow tree so rounds exceed the parallel threshold *)
-  let leaf i = Node.E ("leaf", [ ("k", string_of_int i) ], []) in
-  let mid i =
-    Node.E ("mid", [], List.init 40 (fun j -> leaf ((i * 40) + j)))
-  in
-  Xml_parser.parse_string ~strip_whitespace:true
-    (Fixq_xdm.Serializer.to_string
-       (Node.of_spec (Node.E ("root", [], List.init 30 mid))))
-
-let test_parallel_delta_equivalence () =
-  let doc = big_tree () in
-  let seed = [ Item.N (List.hd (Node.children doc)) ] in
-  let body input =
-    List.concat_map
-      (function
-        | Item.N n -> List.map Item.node (Node.children n)
-        | Item.A _ -> [])
-      input
-  in
-  let stats_seq = Stats.create () in
-  let sequential = Fixpoint.delta ~stats:stats_seq ~body ~seed () in
-  let stats_par = Stats.create () in
-  let parallel =
-    Fixpoint.delta_parallel ~domains:4 ~chunk_threshold:8 ~stats:stats_par
-      ~body ~seed ()
-  in
-  check "parallel s= sequential" true (Item.set_equal sequential parallel);
-  check_int "same nodes fed" (Stats.nodes_fed stats_seq)
-    (Stats.nodes_fed stats_par);
-  check_int "same depth" (Stats.depth stats_seq) (Stats.depth stats_par)
-
-let test_parallel_delta_single_domain () =
-  (* domains=1 degrades to plain delta *)
-  let doc = tree () in
-  let seed = [ Item.N (List.hd (Node.children doc)) ] in
-  let stats = Stats.create () in
-  let r =
-    Fixpoint.delta_parallel ~domains:1 ~stats ~body:children_body ~seed ()
-  in
-  let stats2 = Stats.create () in
-  let r2 = Fixpoint.delta ~stats:stats2 ~body:children_body ~seed () in
-  check "single-domain parallel = delta" true (Item.set_equal r r2)
-
-let test_parallel_delta_through_eval () =
-  (* drive a real XQuery body (axis steps only — thread-safe) *)
-  let registry = Doc_registry.create () in
-  Doc_registry.register ~registry "t.xml" (big_tree ());
-  let ev = Eval.create ~registry () in
-  let body_expr = Parser.parse_expr "$x/*" in
-  let body input = Eval.eval_expr ev ~vars:[ ("x", input) ] body_expr in
-  let seed =
-    Eval.eval_expr ev (Parser.parse_expr {|doc("t.xml")/root|})
-  in
-  let stats = Stats.create () in
-  let par =
-    Fixpoint.delta_parallel ~domains:3 ~chunk_threshold:16 ~stats ~body ~seed
-      ()
-  in
-  let seq = Fixpoint.delta ~stats ~body ~seed () in
-  check "xquery body parallel s= sequential" true (Item.set_equal par seq);
-  check_int "descendants found" (30 + (30 * 40)) (List.length par)
-
-(* ------------------------------------------------------------------ *)
 (* Property: Naïve s= Delta for distributive (step) bodies             *)
 (* ------------------------------------------------------------------ *)
 
@@ -351,12 +284,5 @@ let () =
           Alcotest.test_case "divergence guard" `Quick test_divergence_guard;
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting
         ] );
-      ( "parallel",
-        [ Alcotest.test_case "equivalence" `Quick
-            test_parallel_delta_equivalence;
-          Alcotest.test_case "single domain" `Quick
-            test_parallel_delta_single_domain;
-          Alcotest.test_case "xquery body" `Quick
-            test_parallel_delta_through_eval ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_naive_eq_delta ] ) ]

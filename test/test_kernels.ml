@@ -375,21 +375,11 @@ let test_value_index_single_use () =
 let test_value_index_bidder () =
   let registry = Doc_registry.create () in
   ignore (W.Xmark.load ~registry { W.Xmark.default with scale = 0.002 });
-  let run ?domains () =
-    let before = Counters.snapshot () in
-    let r =
-      Eval.run_string (Eval.create ~registry ?domains ()) W.Queries.bidder_network
-    in
-    (Serializer.seq_to_string r, Counters.diff (Counters.snapshot ()) before)
-  in
-  let (bytes, k) = run () in
+  let before = Counters.snapshot () in
+  ignore (Eval.run_string (Eval.create ~registry ()) W.Queries.bidder_network);
+  let k = Counters.diff (Counters.snapshot ()) before in
   check "bidder_network builds an index" true (k.Counters.value_index_builds >= 1);
-  check "… and answers from it" true (k.Counters.value_index_probes > 0);
-  (* parallel Delta rounds bypass the table; results stay identical *)
-  let (bytes_par, k_par) = run ~domains:2 () in
-  Alcotest.(check int) "no index under domains" 0
-    k_par.Counters.value_index_builds;
-  Alcotest.(check string) "same bytes under domains" bytes bytes_par
+  check "… and answers from it" true (k.Counters.value_index_probes > 0)
 
 (* ------------------------------------------------------------------ *)
 

@@ -10,8 +10,8 @@ module Doc_registry = Fixq_xdm.Doc_registry
 module Xml_parser = Fixq_xdm.Xml_parser
 module Serializer = Fixq_xdm.Serializer
 module Semiring = Fixq_semiring.Semiring
-module Kernel = Fixq_semiring.Kernel
 module Eval = Fixq_lang.Eval
+module Stats = Fixq_lang.Stats
 module Rewrite = Fixq_lang.Rewrite
 module Ast = Fixq_lang.Ast
 module Analyze = Fixq_analysis.Analyze
@@ -304,8 +304,30 @@ let family_runs seed =
    [ W.Queries.q1; W.Queries.curriculum_check; W.Queries.bidder_network;
      W.Queries.dialogs; W.Queries.hospital ])
 
-let bool_parity_on ~engine seed =
+(* The interpreter's per-round statistics: the running nodes-fed total
+   after every round of every fixpoint, and the (fed, produced, result
+   size) rows of the last one. *)
+let round_trace ~registry ~mode p =
+  let strategy =
+    match mode with
+    | Fixq.Naive -> Eval.Naive
+    | Fixq.Delta -> Eval.Delta
+    | Fixq.Auto -> Eval.Auto
+  in
+  let ev = Eval.create ~registry ~strategy () in
+  let st = Eval.stats ev in
+  let fed = ref [] in
+  Stats.set_iteration_hook st
+    (Some (fun () -> fed := Stats.nodes_fed st :: !fed));
+  ignore (Eval.run_program ev p);
+  ( !fed,
+    List.map
+      (fun it -> (it.Stats.fed, it.Stats.produced, it.Stats.result_size))
+      (Stats.last_run st) )
+
+let bool_parity_on ~mode seed =
   let (registry, queries) = family_runs seed in
+  let engine = Fixq.Interpreter mode in
   List.for_all
     (fun src ->
       let p = parse src in
@@ -314,20 +336,22 @@ let bool_parity_on ~engine seed =
       Serializer.seq_to_string plain.Fixq.result
       = Serializer.seq_to_string annotated.Fixq.result
       && plain.Fixq.depth = annotated.Fixq.depth
-      && plain.Fixq.nodes_fed = annotated.Fixq.nodes_fed)
+      && plain.Fixq.nodes_fed = annotated.Fixq.nodes_fed
+      && round_trace ~registry ~mode p
+         = round_trace ~registry ~mode (boolify p))
     queries
 
 let prop_bool_parity_interp =
   QCheck2.Test.make ~count:8
     ~name:"bool semiring byte-identical to legacy IFP (interpreter)"
     QCheck2.Gen.(int_range 1 1000)
-    (bool_parity_on ~engine:(Fixq.Interpreter Fixq.Auto))
+    (bool_parity_on ~mode:Fixq.Auto)
 
 let prop_bool_parity_naive =
   QCheck2.Test.make ~count:4
     ~name:"bool semiring byte-identical to legacy IFP (naive)"
     QCheck2.Gen.(int_range 1 1000)
-    (bool_parity_on ~engine:(Fixq.Interpreter Fixq.Naive))
+    (bool_parity_on ~mode:Fixq.Naive)
 
 (* ------------------------------------------------------------------ *)
 (* Property: min-cost kernel ≡ reference Bellman-Ford                  *)
